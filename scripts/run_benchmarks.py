@@ -210,18 +210,26 @@ def main():
             print(f"[bench-json] {name} FAILED (rc={code})", file=sys.stderr)
 
     micro = None
+    micro_failed = False
     if not args.skip_micro:
         micro_path = os.path.join(bench_dir, MICRO_BENCH)
         if os.path.isfile(micro_path):
             print(f"[bench-json] running {MICRO_BENCH} ...")
             micro_args = ["--benchmark_format=json"]
             if args.smoke:
-                micro_args.append("--benchmark_min_time=0.01s")
+                # A bare number of seconds: google-benchmark 1.7 rejects
+                # the "0.01s" suffix form, newer releases accept both.
+                micro_args.append("--benchmark_min_time=0.01")
             code, out, err = run_binary(micro_path, env, micro_args)
             try:
                 micro = json.loads(out)
             except json.JSONDecodeError:
-                micro = {"error": "unparseable output", "returncode": code}
+                micro = {"error": "unparseable output"}
+            if code != 0 or "error" in micro:
+                micro_failed = True
+                micro.update({"returncode": code, "stderr": err[-4000:]})
+                print(f"[bench-json] {MICRO_BENCH} FAILED (rc={code})",
+                      file=sys.stderr)
 
     # Read-side counters are only live in -DRCUA_STATS=ON builds; record
     # whether this run's numbers include them.
@@ -256,7 +264,9 @@ def main():
         json.dump(doc, f, indent=2)
         f.write("\n")
     print(f"[bench-json] wrote {out_path}")
-    return 0
+    # The micro section is part of the artifact: a run without it is a
+    # failed run, not a partial success.
+    return 1 if micro_failed else 0
 
 
 if __name__ == "__main__":

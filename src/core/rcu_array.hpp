@@ -5,13 +5,13 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,9 +20,7 @@
 #include "platform/align.hpp"
 #include "platform/atomics.hpp"
 #include "platform/backoff.hpp"
-#include "reclaim/ebr.hpp"
-#include "reclaim/eras.hpp"
-#include "reclaim/qsbr.hpp"
+#include "reclaim/domain.hpp"
 #include "reclaim/stall_monitor.hpp"
 #include "runtime/aggregator.hpp"
 #include "runtime/block_cache.hpp"
@@ -36,29 +34,23 @@
 
 namespace rcua {
 
-/// Compile-time reclamation policy — the paper's `isQSBR` param, plus
-/// the concrete EBR reclaimer type so the reader-bank layout (striped vs
-/// the paper's legacy 2-counter pair) can be A/B'd at the array level.
+/// Compile-time reclamation policy — the paper's `isQSBR` parameter,
+/// generalized: a policy names the per-locale reclamation domain
+/// (reclaim/domain.hpp) that RCUArray and ShardedCollection reclaim
+/// through, and nothing else.
 struct EbrPolicy {
-  static constexpr bool is_qsbr = false;
-  static constexpr bool is_interval = false;
   static constexpr const char* name = "EBR";
-  using Reclaimer = reclaim::Ebr;
+  using Domain = reclaim::EbrDomain<reclaim::Ebr>;
 };
 /// EBR with the paper's original collective EpochReaders[2] layout
 /// (all-seq_cst, one pair per locale) — the ablation baseline.
 struct LegacyEbrPolicy {
-  static constexpr bool is_qsbr = false;
-  static constexpr bool is_interval = false;
   static constexpr const char* name = "EBR-legacy";
-  using Reclaimer = reclaim::LegacyEbr;
+  using Domain = reclaim::EbrDomain<reclaim::LegacyEbr>;
 };
 struct QsbrPolicy {
-  static constexpr bool is_qsbr = true;
-  static constexpr bool is_interval = false;
   static constexpr const char* name = "QSBR";
-  // Unused under QSBR; declared so PerLocale has a uniform shape.
-  using Reclaimer = reclaim::Ebr;
+  using Domain = reclaim::QsbrDomain;
 };
 /// Interval-based reclamation: readers publish [entry era, current era]
 /// reservations, spines carry [birth, retire] era tags, and retirement
@@ -66,19 +58,15 @@ struct QsbrPolicy {
 /// memory stays bounded under a stalled reader by construction
 /// (DESIGN.md §13; the reclamation tier Brown's EBR critique calls for).
 struct IbrPolicy {
-  static constexpr bool is_qsbr = false;
-  static constexpr bool is_interval = true;
   static constexpr const char* name = "IBR";
-  using Reclaimer = reclaim::Ibr;
+  using Domain = reclaim::EraDomain<reclaim::Ibr>;
 };
 /// Hazard eras: single-era reservations republished on every protect —
 /// the hazard-pointer-like point of the era spectrum, same bounded-
 /// memory guarantee and retire/scan machinery as IBR.
 struct HazardErasPolicy {
-  static constexpr bool is_qsbr = false;
-  static constexpr bool is_interval = true;
   static constexpr const char* name = "HE";
-  using Reclaimer = reclaim::HazardEras;
+  using Domain = reclaim::EraDomain<reclaim::HazardEras>;
 };
 
 /// RCUArray: a parallel-safe distributed resizable array (the paper's
@@ -144,16 +132,16 @@ class RCUArray {
     std::uint32_t home_locale = kNoHomeLocale;
   };
 
-  static constexpr bool uses_qsbr = Policy::is_qsbr;
-  static constexpr bool uses_interval = Policy::is_interval;
+  using Domain = typename Policy::Domain;
+  /// A read-side section of the domain with the spine it pinned.
+  using SpinePin = typename Domain::template Pin<Snapshot<T>>;
+  static constexpr bool uses_qsbr = std::is_same_v<Domain, reclaim::QsbrDomain>;
+  static constexpr bool uses_interval = reclaim::kIsEraDomain<Domain>;
 
   RCUArray(rt::Cluster& cluster, std::size_t initial_capacity = 0,
            Options options = {})
       : cluster_(cluster),
         block_size_(options.block_size),
-        qsbr_(options.qsbr != nullptr ? options.qsbr
-                                      : &reclaim::Qsbr::global()),
-        stall_policy_(options.stall_policy),
         monitor_(options.stall_monitor != nullptr
                      ? options.stall_monitor
                      : &reclaim::StallMonitor::global()),
@@ -170,8 +158,12 @@ class RCUArray {
         home_locale_ >= cluster.num_locales()) {
       throw std::invalid_argument("home_locale >= num_locales");
     }
+    const reclaim::DomainOptions domain_opts{.qsbr = options.qsbr,
+                                             .stall_policy =
+                                                 options.stall_policy,
+                                             .monitor = monitor_};
     cluster_.coforall_locales([&](std::uint32_t l) {
-      auto* p = new PerLocale;
+      auto* p = new PerLocale(cluster_.locale(l), domain_opts);
       p->global_snapshot.store(new Snapshot<T>(), std::memory_order_relaxed);
       p->cache = std::make_unique<rt::BlockCache>(cluster_.comm(), l,
                                                   cache_capacity_);
@@ -187,18 +179,8 @@ class RCUArray {
         priv_at(0).global_snapshot.load(std::memory_order_acquire)->blocks();
     for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
       PerLocale* p = &priv_at(l);
-      if constexpr (Policy::is_interval) {
-        // External quiescence: every era-pending spine is freeable now.
-        p->ebr.flush_unsafe();
-      }
-      // External quiescence means every deferred spine is freeable now.
-      const auto flushed = p->overflow.free_all();
-      if (flushed.objects != 0) {
-        cluster_.locale(l).note_free(flushed.bytes);
-        monitor_->note_flushed(flushed.bytes, flushed.objects);
-      }
       delete p->global_snapshot.load(std::memory_order_acquire);
-      delete p;
+      delete p;  // the domain frees whatever it still holds
     }
     cluster_.privatization().destroy(pid_);
     for (Block<T>* b : blocks) {
@@ -214,8 +196,11 @@ class RCUArray {
 
   /// Returns a reference to element `i`, valid across concurrent resizes.
   /// Both reads and updates go through this reference.
-  T& index(std::size_t i) { return index_rw(i, /*is_write=*/false); }
-  T& operator[](std::size_t i) { return index_rw(i, /*is_write=*/false); }
+  T& index(std::size_t i) {
+    return with_slot(i, /*is_write=*/false,
+                     [](T& slot, Block<T>*) -> T& { return slot; });
+  }
+  T& operator[](std::size_t i) { return index(i); }
 
   /// Bounds-checked access.
   T& at(std::size_t i) {
@@ -223,7 +208,7 @@ class RCUArray {
       throw std::out_of_range("RCUArray::at: index " + std::to_string(i) +
                               " >= capacity " + std::to_string(capacity()));
     }
-    return index_rw(i, false);
+    return index(i);
   }
 
   /// Convenience value read / write (the paper's "update" is the write).
@@ -246,12 +231,8 @@ class RCUArray {
       // whose returned reference deliberately escapes it): value ops
       // must stay safe against rehome(), which — unlike resize — really
       // does reclaim the replaced blocks once readers drain.
-      return with_slot(i, /*is_write=*/false, [](T& slot, Block<T>*) -> T {
-        if constexpr (plat::relaxed_capable_v<T>) {
-          return plat::relaxed_load(slot);
-        } else {
-          return slot;
-        }
+      return with_slot(i, /*is_write=*/false, [](T& slot, Block<T>*) {
+        return plat::element_load(slot);
       });
     }
     return read_cached(i);
@@ -264,11 +245,7 @@ class RCUArray {
     // relaxation only covers recycled blocks (resize), not reclaimed
     // ones (rehome).
     with_slot(i, /*is_write=*/true, [&](T& slot, Block<T>* b) {
-      if constexpr (plat::relaxed_capable_v<T>) {
-        plat::relaxed_store(slot, std::move(value));
-      } else {
-        slot = std::move(value);
-      }
+      plat::element_store(slot, std::move(value));
       // Write-through coherence (DESIGN.md §11): the PUT above already
       // updated the block; bumping its write generation AFTER the store
       // lands (release) invalidates every cached copy of the block on
@@ -291,7 +268,7 @@ class RCUArray {
 
     std::vector<Block<T>*> new_blocks;  // line 9
     new_blocks.reserve(nblocks);
-    write_lock_.lock();  // line 10
+    std::lock_guard<rt::GlobalLock> lock(write_lock_);  // lines 10 and 29
     const std::uint32_t here = cluster_.here();
     std::uint32_t loc = priv().next_locale_id;  // line 11
     // Allocate and distribute new blocks (lines 12-16), pipelined: each
@@ -306,14 +283,7 @@ class RCUArray {
       pending.reserve(nblocks);
       const bool pinned = home_locale_ != Options::kNoHomeLocale;
       for (std::size_t k = 0; k < nblocks; ++k) {
-        const std::uint32_t target = pinned ? home_locale_ : loc;
-        pending.push_back(
-            async.execute(target, /*weight=*/0, [this, target]() {
-              Block<T>* b =
-                  new Block<T>(cluster_.locale(target), block_size_);
-              sim::charge(sim::CostModel::get().alloc_block_ns);
-              return b;
-            }));
+        pending.push_back(alloc_block(async, pinned ? home_locale_ : loc));
         if (!pinned) loc = (loc + 1) % cluster_.num_locales();
       }
       for (auto& f : pending) new_blocks.push_back(f.get());
@@ -339,35 +309,14 @@ class RCUArray {
           return;  // injected lost broadcast: this locale missed the swap
         }
         PerLocale& p = priv_at(l);
-        flush_overflow_at(l);  // opportunistic retry of deferred spines
-        Snapshot<T>* old =
-            p.global_snapshot.load(std::memory_order_relaxed);
-        Snapshot<T>* fresh = Snapshot<T>::clone_append(*old, new_blocks);
-        RCUA_SCHED_POINT("rcua.resize.publish");
-        if constexpr (Policy::is_qsbr) {
-          // Handle RCU directly with QSBR (lines 21-25).
-          p.global_snapshot.store(fresh, std::memory_order_release);
-          RCUA_SCHED_POINT("rcua.resize.published");
-          obs::trace_instant("rcua.resize.publish", "rcua", l);
-          qsbr_->defer_delete(old);
-        } else if constexpr (Policy::is_interval) {
-          // Era protocol: sample the fresh spine's birth era BEFORE the
-          // publish, so any reader that can load `fresh` holds a
-          // reservation at >= its birth (the Lemma 6 generalization,
-          // DESIGN.md §13). The retire stamps `old` with the interval
-          // [its own birth, now] and scans — no grace-period wait.
-          const std::uint64_t fresh_birth = p.ebr.current_era();
-          p.global_snapshot.store(fresh, std::memory_order_release);
-          RCUA_SCHED_POINT("rcua.resize.published");
-          obs::trace_instant("rcua.resize.publish", "rcua", l);
-          retire_spine_interval(
-              p, l, old, std::exchange(p.spine_birth_era, fresh_birth));
-        } else {
-          // RCU_Write (Algorithm 1 lines 1-8); the clone/λ already ran.
-          p.global_snapshot.store(fresh, std::memory_order_release);
-          RCUA_SCHED_POINT("rcua.resize.published");
-          obs::trace_instant("rcua.resize.publish", "rcua", l);
-          retire_spine_ebr(p, l, old);
+        const Unpublished old =
+            swap_spine(l, kResizeSites, [&](const Snapshot<T>& s) {
+              return Snapshot<T>::clone_append(s, new_blocks);
+            });
+        // RCU_Write lines 5-8 under EBR, a deferral under QSBR (lines
+        // 21-25), an era retire+scan under IBR/HE (DESIGN.md §13).
+        if (p.domain.retire(old.spine, spine_bytes(*old.spine), old.birth)) {
+          stalled_spines_.fetch_add(1, std::memory_order_relaxed);
         }
         p.next_locale_id = final_loc;  // line 28
         done[l].store(true, std::memory_order_release);
@@ -382,7 +331,6 @@ class RCUArray {
       publish_backoff.pause();
     }
     resizes_.fetch_add(1, std::memory_order_relaxed);
-    write_lock_.unlock();  // line 29
   }
 
   /// EXTENSION (beyond the paper, which covers expansion only): shrinks
@@ -396,8 +344,7 @@ class RCUArray {
     const std::size_t remove_blocks = num_elements / block_size_;
     if (remove_blocks == 0) return;
     obs::TraceSpan resize_span("rcua.resize_remove", "rcua", remove_blocks);
-    const auto& m = sim::CostModel::get();
-    write_lock_.lock();
+    std::lock_guard<rt::GlobalLock> lock(write_lock_);
     Snapshot<T>* current =
         priv_at(0).global_snapshot.load(std::memory_order_acquire);
     const std::size_t old_blocks = current->num_blocks();
@@ -409,13 +356,10 @@ class RCUArray {
                                    current->blocks().end());
     cluster_.coforall_locales([&](std::uint32_t l) {
       PerLocale& p = priv_at(l);
-      flush_overflow_at(l);  // opportunistic retry of deferred spines
-      Snapshot<T>* old = p.global_snapshot.load(std::memory_order_relaxed);
-      Snapshot<T>* fresh = Snapshot<T>::clone_truncate(*old, keep);
-      RCUA_SCHED_POINT("rcua.resize.publish");
-      p.global_snapshot.store(fresh, std::memory_order_release);
-      RCUA_SCHED_POINT("rcua.resize.published");
-      obs::trace_instant("rcua.resize.publish", "rcua", l);
+      Snapshot<T>* old =
+          swap_spine(l, kResizeSites, [&](const Snapshot<T>& s) {
+            return Snapshot<T>::clone_truncate(s, keep);
+          }).spine;
       if (p.cache->enabled()) {
         // Eviction interlock (DESIGN.md §11): drop this locale's cached
         // copies of the dropped blocks BEFORE the reclamation below can
@@ -427,57 +371,20 @@ class RCUArray {
         // the ledger must not carry "live" bytes for freed blocks.
         p.cache->invalidate_tail(array_id(), keep);
       }
-      if constexpr (Policy::is_qsbr) {
-        qsbr_->defer_delete(old);
-      } else if constexpr (Policy::is_interval) {
-        // The old spine rides the era retire list like any other; the
-        // dropped BLOCKS are shared by every locale's spine, so they
-        // cannot — mint a fence era and wait out every read section
-        // that entered before it, the same deliberately blocking drain
-        // the EBR branch pays (DESIGN.md §8/§13). A stalled reader
-        // therefore delays resize_remove (an extension path), never
-        // resize_add.
-        retire_spine_interval(
-            p, l, old,
-            std::exchange(p.spine_birth_era, p.ebr.current_era()));
-        const std::uint64_t fence = p.ebr.advance_era();
-        RCUA_SCHED_POINT("rcua.resize.epoch_bumped");
-        p.ebr.wait_for_readers(fence);
-        RCUA_SCHED_POINT("rcua.resize.retire_spine");
-        // All pre-fence sections are gone; the scan frees whatever they
-        // were holding (including the spine retired just above).
-        p.ebr.scan();
-      } else {
-        // Unlike resize_add, this drain stays BLOCKING even under a
-        // non-blocking stall policy: the dropped blocks freed below are
-        // shared by every locale's spine, so their reclamation needs
-        // every locale's readers drained — the per-locale parity tag the
-        // overflow list relies on cannot cover them (DESIGN.md §8). A
-        // stalled reader therefore delays resize_remove (an extension
-        // path), never resize_add.
-        const auto epoch = p.ebr.advance_epoch();
-        RCUA_SCHED_POINT("rcua.resize.epoch_bumped");
-        p.ebr.wait_for_readers(epoch);
-        RCUA_SCHED_POINT("rcua.resize.retire_spine");
-        delete old;
-      }
+      // Unlike resize_add, this drain stays BLOCKING even under a
+      // non-blocking stall policy: the dropped blocks freed below are
+      // shared by every locale's spine, so their reclamation needs every
+      // locale's readers drained — the per-locale parity tag the
+      // overflow list relies on cannot cover them (DESIGN.md §8). A
+      // stalled reader therefore delays resize_remove (an extension
+      // path), never resize_add.
+      p.domain.fence_drain();
+      p.domain.defer_free(old);
     });
-    // Every locale has swapped; no snapshot reaches the dropped blocks.
-    for (Block<T>* b : dropped) {
-      RCUA_SCHED_POINT("rcua.resize.recycle_block");
-      cluster_.locale(b->owner()).note_free(b->capacity() * sizeof(T));
-      sim::charge(m.alloc_block_ns / 2);
-      if constexpr (Policy::is_qsbr) {
-        // Outstanding references (paper-style relaxed reads) may still
-        // target these blocks until their holders checkpoint.
-        qsbr_->defer_delete(b);
-      } else {
-        // EBR already drained all readers on every locale above.
-        delete b;
-      }
-    }
+    // Every locale has swapped and drained; no snapshot reaches the
+    // dropped blocks.
+    free_blocks(dropped, "rcua.resize.recycle_block");
     resizes_.fetch_add(1, std::memory_order_relaxed);
-    write_lock_.unlock();
   }
 
   // -- Live migration (DESIGN.md §14) -----------------------------------
@@ -501,8 +408,8 @@ class RCUArray {
   ///   3. DRAIN + RECLAIM: wait out every locale's readers of the old
   ///      block mapping (blocking, like resize_remove: the replaced
   ///      blocks are shared by every locale's old spine), then free the
-  ///      replaced source blocks. Old spines ride the configured policy
-  ///      (EBR drain / QSBR deferral / era retire) like any resize.
+  ///      replaced source blocks and the old spines (QSBR defers
+  ///      both).
   ///
   /// The migrate→invalidate→drain ordering is the §14 rule; the two
   /// sched mutations (`migrate_publish_before_copy_complete`,
@@ -527,8 +434,7 @@ class RCUArray {
       throw std::invalid_argument("rehome: dst locale out of range");
     }
     obs::TraceSpan span("rcua.rehome", "rcua", dst);
-    const auto& m = sim::CostModel::get();
-    write_lock_.lock();
+    std::lock_guard<rt::GlobalLock> lock(write_lock_);
     const std::uint32_t here = cluster_.here();
     Snapshot<T>* cur =
         priv_at(0).global_snapshot.load(std::memory_order_acquire);
@@ -541,7 +447,6 @@ class RCUArray {
     }
     if (moved.empty()) {
       home_locale_ = dst;
-      write_lock_.unlock();
       return true;
     }
 
@@ -552,11 +457,7 @@ class RCUArray {
       std::vector<rt::future<Block<T>*>> allocs;
       allocs.reserve(moved.size());
       for (std::size_t k = 0; k < moved.size(); ++k) {
-        allocs.push_back(async.execute(dst, /*weight=*/0, [this, dst]() {
-          Block<T>* b = new Block<T>(cluster_.locale(dst), block_size_);
-          sim::charge(sim::CostModel::get().alloc_block_ns);
-          return b;
-        }));
+        allocs.push_back(alloc_block(async, dst));
       }
       for (std::size_t k = 0; k < moved.size(); ++k) {
         fresh[moved[k]] = allocs[k].get();
@@ -583,15 +484,8 @@ class RCUArray {
         RCUA_SCHED_POINT("rcua.rehome.copy_block");
         const T* s = src->data();
         T* d = rep->data();
-        if constexpr (plat::relaxed_capable_v<T>) {
-          for (std::size_t k = 0; k < n; ++k) {
-            plat::relaxed_store(d[k], plat::relaxed_load(s[k]));
-          }
-        } else if constexpr (std::is_trivially_copyable_v<T>) {
-          std::memcpy(static_cast<void*>(d), static_cast<const void*>(s),
-                      n * sizeof(T));
-        } else {
-          std::copy(s, s + n, d);
+        for (std::size_t k = 0; k < n; ++k) {
+          plat::element_store(d[k], plat::element_load(s[k]));
         }
         sim::charge(sim::CostModel::get().bulk_copy_ns_per_elem *
                     static_cast<double>(n));
@@ -605,7 +499,6 @@ class RCUArray {
       }
       rehome_rollbacks_.fetch_add(1, std::memory_order_relaxed);
       obs::trace_instant("rcua.rehome.rollback", "rcua", dst);
-      write_lock_.unlock();
       return false;
     }
     if (!RCUA_SCHED_MUT(migrate_publish_before_copy_complete)) {
@@ -618,27 +511,10 @@ class RCUArray {
     // -- 2. PUBLISH + invalidate -----------------------------------------
     std::vector<Snapshot<T>*> retired(cluster_.num_locales(), nullptr);
     cluster_.coforall_locales([&](std::uint32_t l) {
+      retired[l] = swap_spine(l, kRehomeSites, [&](const Snapshot<T>& s) {
+                     return Snapshot<T>::clone_replace(s, fresh);
+                   }).spine;
       PerLocale& p = priv_at(l);
-      flush_overflow_at(l);
-      Snapshot<T>* old = p.global_snapshot.load(std::memory_order_relaxed);
-      Snapshot<T>* nw = Snapshot<T>::clone_replace(*old, fresh);
-      RCUA_SCHED_POINT("rcua.rehome.publish");
-      if constexpr (Policy::is_interval) {
-        const std::uint64_t fresh_birth = p.ebr.current_era();
-        p.global_snapshot.store(nw, std::memory_order_release);
-        RCUA_SCHED_POINT("rcua.rehome.published");
-        retire_spine_interval(
-            p, l, old, std::exchange(p.spine_birth_era, fresh_birth));
-      } else {
-        p.global_snapshot.store(nw, std::memory_order_release);
-        RCUA_SCHED_POINT("rcua.rehome.published");
-        if constexpr (Policy::is_qsbr) {
-          qsbr_->defer_delete(old);
-        } else {
-          retired[l] = old;  // reclaimed after this locale's drain below
-        }
-      }
-      obs::trace_instant("rcua.rehome.publish", "rcua", l);
       if (p.cache->enabled()) {
         // Eviction interlock (§11, extended to migration): every cached
         // copy of this array leaves the ledger before the frees below —
@@ -656,54 +532,27 @@ class RCUArray {
     }
 
     // -- 3. DRAIN + reclaim ----------------------------------------------
-    auto free_moved = [&]() {
-      for (std::size_t i : moved) {
-        Block<T>* b = old_blocks[i];
-        RCUA_SCHED_POINT("rcua.rehome.free_block");
-        cluster_.locale(b->owner()).note_free(b->capacity() * sizeof(T));
-        sim::charge(m.alloc_block_ns / 2);
-        if constexpr (Policy::is_qsbr) {
-          qsbr_->defer_delete(b);
-        } else {
-          delete b;
-        }
-      }
-    };
-    bool freed_early = false;
-    if (RCUA_SCHED_MUT(migrate_reclaim_before_mapping_drain)) {
+    std::vector<Block<T>*> replaced;
+    replaced.reserve(moved.size());
+    for (std::size_t i : moved) replaced.push_back(old_blocks[i]);
+    const bool freed_early =
+        RCUA_SCHED_MUT(migrate_reclaim_before_mapping_drain);
+    if (freed_early) {
       // MUTATION (sched harness only): reclaim the replaced source
       // blocks before the old mapping's readers drained — a section
       // that pinned the old spine still holds pointers into them.
-      free_moved();
-      freed_early = true;
+      free_blocks(replaced, "rcua.rehome.free_block");
     }
     cluster_.coforall_locales([&](std::uint32_t l) {
+      // Replaced blocks are shared by every locale's old spine: drain
+      // blocking, exactly like resize_remove (DESIGN.md §8).
       PerLocale& p = priv_at(l);
-      if constexpr (Policy::is_qsbr) {
-        // Deferral gates reclamation; nothing to drain here.
-        (void)p;
-      } else if constexpr (Policy::is_interval) {
-        // Replaced blocks are shared by every locale's old spine: mint a
-        // fence era and wait it out, exactly like resize_remove.
-        const std::uint64_t fence = p.ebr.advance_era();
-        RCUA_SCHED_POINT("rcua.rehome.epoch_bumped");
-        p.ebr.wait_for_readers(fence);
-        RCUA_SCHED_POINT("rcua.rehome.drained");
-        p.ebr.scan();
-      } else {
-        // Deliberately BLOCKING even under a non-blocking stall policy,
-        // for the same reason as resize_remove (DESIGN.md §8).
-        const auto epoch = p.ebr.advance_epoch();
-        RCUA_SCHED_POINT("rcua.rehome.epoch_bumped");
-        p.ebr.wait_for_readers(epoch);
-        RCUA_SCHED_POINT("rcua.rehome.drained");
-        delete retired[l];
-      }
+      p.domain.fence_drain();
+      p.domain.defer_free(retired[l]);
     });
-    if (!freed_early) free_moved();
+    if (!freed_early) free_blocks(replaced, "rcua.rehome.free_block");
     home_locale_ = dst;
     rehomes_.fetch_add(1, std::memory_order_relaxed);
-    write_lock_.unlock();
     return true;
   }
 
@@ -731,36 +580,19 @@ class RCUArray {
   /// the view dies at the holder's next checkpoint.
   class View {
    public:
-    explicit View(RCUArray& arr)
-        : arr_(arr), snapshot_(nullptr), guard_(nullptr) {
-      PerLocale& p = arr.priv();
-      if constexpr (Policy::is_qsbr) {
-        arr.qsbr_->ensure_participant();
-        snapshot_ = p.global_snapshot.load(std::memory_order_acquire);
-      } else if constexpr (Policy::is_interval) {
-        guard_ = std::make_unique<typename Policy::Reclaimer::ReadGuard>(
-            p.ebr);
-        // The protect loop IS the snapshot load: the era reservation it
-        // publishes is what keeps this spine pending for the view's
-        // lifetime.
-        snapshot_ = guard_->protect(p.global_snapshot);
-      } else {
-        guard_ = std::make_unique<typename Policy::Reclaimer::ReadGuard>(
-            p.ebr);
-        snapshot_ = p.global_snapshot.load(std::memory_order_acquire);
-      }
-      // Hoist the pinned snapshot version onto the guard once: every
+    explicit View(RCUArray& arr) : arr_(arr), pin_(arr.pin_spine()) {
+      // Hoist the pinned snapshot version onto the view once: every
       // consumer (cache tags, charging) reads this value instead of
       // re-deriving it from the snapshot per access.
-      version_ = snapshot_->version();
+      version_ = pin_->version();
       sim::charge(sim::CostModel::get().atomic_load_ns);
     }
 
     [[nodiscard]] std::size_t capacity() const noexcept {
-      return snapshot_->capacity();
+      return pin_->capacity();
     }
     [[nodiscard]] std::size_t num_blocks() const noexcept {
-      return snapshot_->num_blocks();
+      return pin_->num_blocks();
     }
     /// The snapshot version pinned at construction (DESIGN.md §11).
     [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
@@ -768,7 +600,7 @@ class RCUArray {
     const T& operator[](std::size_t i) const {
       const std::size_t bidx = i / arr_.block_size_;
       const std::size_t off = i % arr_.block_size_;
-      Block<T>* b = snapshot_->block(bidx);
+      Block<T>* b = pin_->block(bidx);
       const std::uint32_t here = arr_.cluster_.here();
       arr_.cluster_.comm().record_access(here, b->owner(), false);
       sim::touch_block(b->id(), b->owner() != here, false);
@@ -777,9 +609,8 @@ class RCUArray {
 
    private:
     RCUArray& arr_;
-    Snapshot<T>* snapshot_;
+    SpinePin pin_;
     std::uint64_t version_ = 0;
-    std::unique_ptr<typename Policy::Reclaimer::ReadGuard> guard_;
   };
 
   /// Pins the calling locale's current snapshot (see View).
@@ -820,14 +651,7 @@ class RCUArray {
                  BulkOptions opts = {}) {
     bulk_visit(first, count, /*is_write=*/false, opts,
                [out, first](std::size_t base, T* data, std::size_t len) {
-                 T* dst = out + (base - first);
-                 if constexpr (plat::relaxed_capable_v<T>) {
-                   for (std::size_t k = 0; k < len; ++k) {
-                     dst[k] = plat::relaxed_load(data[k]);
-                   }
-                 } else {
-                   std::copy(data, data + len, dst);
-                 }
+                 load_span(data, len, out + (base - first));
                });
   }
 
@@ -851,12 +675,8 @@ class RCUArray {
     bulk_visit(first, values.size(), /*is_write=*/true, opts,
                [values, first](std::size_t base, T* data, std::size_t len) {
                  const T* src = values.data() + (base - first);
-                 if constexpr (plat::relaxed_capable_v<T>) {
-                   for (std::size_t k = 0; k < len; ++k) {
-                     plat::relaxed_store(data[k], src[k]);
-                   }
-                 } else {
-                   std::copy(src, src + len, data);
+                 for (std::size_t k = 0; k < len; ++k) {
+                   plat::element_store(data[k], src[k]);
                  }
                });
   }
@@ -883,31 +703,8 @@ class RCUArray {
   /// iteration space is fixed at entry).
   template <typename F>
   void for_each_block_local(F&& fn) {
-    cluster_.coforall_locales([&](std::uint32_t l) {
-      PerLocale& p = priv_at(l);
-      Snapshot<T>* s = p.global_snapshot.load(std::memory_order_acquire);
-      for (std::size_t b = 0; b < s->num_blocks(); ++b) {
-        Block<T>* blk = s->block(b);
-        if (blk->owner() != l) continue;
-        sim::touch_block(blk->id(), false, true);
-        fn(b, *blk);
-      }
-    });
-  }
-
-  /// Like for_each_block_local but runs on the CALLING task for a single
-  /// locale's blocks — for use inside an enclosing coforall body that is
-  /// already placed on `locale`.
-  template <typename F>
-  void for_each_local_block_inline(std::uint32_t locale, F&& fn) {
-    PerLocale& p = priv_at(locale);
-    Snapshot<T>* s = p.global_snapshot.load(std::memory_order_acquire);
-    for (std::size_t b = 0; b < s->num_blocks(); ++b) {
-      Block<T>* blk = s->block(b);
-      if (blk->owner() != locale) continue;
-      sim::touch_block(blk->id(), false, false);
-      fn(b, *blk);
-    }
+    cluster_.coforall_locales(
+        [&](std::uint32_t l) { visit_local_blocks(l, /*is_write=*/true, fn); });
   }
 
   /// Parallel fill, executed with full locality.
@@ -929,19 +726,16 @@ class RCUArray {
     R total = init;
     const auto& m = sim::CostModel::get();
     cluster_.coforall_locales([&](std::uint32_t l) {
-      PerLocale& p = priv_at(l);
-      Snapshot<T>* s = p.global_snapshot.load(std::memory_order_acquire);
       R partial = init;
-      for (std::size_t b = 0; b < s->num_blocks(); ++b) {
-        Block<T>* blk = s->block(b);
-        if (blk->owner() != l) continue;
-        sim::touch_block(blk->id(), false, false);
-        for (std::size_t i = 0; i < blk->capacity(); ++i) {
-          partial = fn(std::move(partial), (*blk)[i]);
-        }
-        sim::charge(m.bulk_copy_ns_per_elem *
-                    static_cast<double>(blk->capacity()) / 4.0);
-      }
+      visit_local_blocks(l, /*is_write=*/false,
+                         [&](std::size_t, Block<T>& blk) {
+                           for (std::size_t i = 0; i < blk.capacity(); ++i) {
+                             partial = fn(std::move(partial), blk[i]);
+                           }
+                           sim::charge(m.bulk_copy_ns_per_elem *
+                                       static_cast<double>(blk.capacity()) /
+                                       4.0);
+                         });
       std::lock_guard<std::mutex> guard(mu);
       total = combine(std::move(total), std::move(partial));
     });
@@ -950,22 +744,21 @@ class RCUArray {
 
   // -- Introspection ----------------------------------------------------
 
+  // Each reads the calling locale's snapshot inside a read-side section
+  // that lasts for the full expression.
+
   /// Element capacity of the current locale's snapshot.
   [[nodiscard]] std::size_t capacity() const {
-    return with_snapshot(
-        [](const Snapshot<T>& s) { return s.capacity(); });
+    return pin_spine()->capacity();
   }
 
   [[nodiscard]] std::size_t num_blocks() const {
-    return with_snapshot(
-        [](const Snapshot<T>& s) { return s.num_blocks(); });
+    return pin_spine()->num_blocks();
   }
 
   /// Locale owning the block that holds element `i`.
   [[nodiscard]] std::uint32_t block_owner(std::size_t i) const {
-    const std::size_t bidx = i / block_size_;
-    return with_snapshot(
-        [&](const Snapshot<T>& s) { return s.block(bidx)->owner(); });
+    return pin_spine()->block(i / block_size_)->owner();
   }
 
   [[nodiscard]] std::size_t block_size() const noexcept { return block_size_; }
@@ -999,9 +792,9 @@ class RCUArray {
   /// Read-side stats of the calling locale's EBR instance (EBR policy).
   /// `reads`/`read_retries` require a -DRCUA_STATS=ON build (zero
   /// otherwise); `epoch_advances` is always live.
-  [[nodiscard]] typename Policy::Reclaimer::Stats ebr_stats_at(
+  [[nodiscard]] typename Domain::Stats ebr_stats_at(
       std::uint32_t locale) const {
-    return priv_at(locale).ebr.stats();
+    return priv_at(locale).domain.stats();
   }
 
   // -- Stall tolerance observability ------------------------------------
@@ -1017,19 +810,11 @@ class RCUArray {
   }
   /// Bytes currently parked on overflow lists across all locales.
   [[nodiscard]] std::size_t overflow_pending_bytes() const {
-    std::size_t total = 0;
-    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
-      total += priv_at(l).overflow.pending_bytes();
-    }
-    return total;
+    return sum_pending(&reclaim::Pending::overflow_bytes);
   }
   /// Spines currently parked on overflow lists across all locales.
   [[nodiscard]] std::size_t overflow_pending_objects() const {
-    std::size_t total = 0;
-    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
-      total += priv_at(l).overflow.pending_objects();
-    }
-    return total;
+    return sum_pending(&reclaim::Pending::overflow_objects);
   }
   /// The watchdog this array reports to.
   [[nodiscard]] reclaim::StallMonitor& stall_monitor() noexcept {
@@ -1041,202 +826,125 @@ class RCUArray {
   /// lists of the interval policies. QSBR deferral is process-global and
   /// not counted here.
   [[nodiscard]] std::size_t reclaim_pending_bytes() const {
-    std::size_t total = 0;
-    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
-      if constexpr (Policy::is_interval) {
-        total += priv_at(l).ebr.pending_bytes();
-      } else {
-        total += priv_at(l).overflow.pending_bytes();
-      }
-    }
-    return total;
+    return sum_pending(&reclaim::Pending::bytes);
   }
   /// Spine count behind reclaim_pending_bytes().
   [[nodiscard]] std::size_t reclaim_pending_objects() const {
-    std::size_t total = 0;
-    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
-      if constexpr (Policy::is_interval) {
-        total += priv_at(l).ebr.pending_objects();
-      } else {
-        total += priv_at(l).overflow.pending_objects();
-      }
-    }
-    return total;
+    return sum_pending(&reclaim::Pending::objects);
   }
 
   /// Manually retries reclamation of every locale's deferred spines
   /// (resizes do this opportunistically anyway). Returns spines freed.
   std::size_t reclaim_overflow() {
-    write_lock_.lock();
-    std::atomic<std::size_t> before{0};
-    std::atomic<std::size_t> after{0};
-    auto pending_at = [&](PerLocale& p) {
-      if constexpr (Policy::is_interval) {
-        return p.ebr.pending_objects();
-      } else {
-        return p.overflow.pending_objects();
-      }
-    };
-    cluster_.coforall_locales([&](std::uint32_t l) {
-      PerLocale& p = priv_at(l);
-      before.fetch_add(pending_at(p), std::memory_order_relaxed);
-      flush_overflow_at(l);
-      after.fetch_add(pending_at(p), std::memory_order_relaxed);
-    });
-    write_lock_.unlock();
-    return before.load(std::memory_order_relaxed) -
-           after.load(std::memory_order_relaxed);
+    // Under the write lock nothing else retires or flushes.
+    std::lock_guard<rt::GlobalLock> lock(write_lock_);
+    const std::size_t before = reclaim_pending_objects();
+    cluster_.coforall_locales(
+        [&](std::uint32_t l) { priv_at(l).domain.flush(); });
+    return before - reclaim_pending_objects();
   }
 
  private:
   /// The privatized per-locale copy (Listing 1's RCUArrayMetaData).
   struct alignas(plat::kCacheLine) PerLocale {
+    PerLocale(rt::Locale& locale, const reclaim::DomainOptions& opts)
+        : domain(locale, opts) {}
     std::atomic<Snapshot<T>*> global_snapshot{nullptr};
-    // Under QSBR the reclaimer is never exercised; pin it to one stripe
-    // so the (per-locale) instance does not allocate a full bank.
-    typename Policy::Reclaimer ebr{0, Policy::is_qsbr ? std::size_t{1}
-                                                      : std::size_t{0}};
-    std::uint32_t next_locale_id = 0;
-    /// Era policies: the era current when this locale's LIVE spine was
-    /// allocated — becomes its lifetime's lower tag when the next resize
-    /// retires it. Written only under the write lock; the initial
-    /// snapshot is born at era 0, matching the zero init.
-    std::uint64_t spine_birth_era = 0;
-    /// Spines whose grace-period drain timed out, parked until both
-    /// reader columns have been observed empty since the push. Per-
-    /// locale is sufficient: a spine on locale l is only ever
-    /// dereferenced under locale l's EBR instance (the snapshot pointer
+    /// This locale's reclamation domain: a spine on locale l is only
+    /// ever dereferenced under locale l's domain (the snapshot pointer
     /// is privatized).
-    reclaim::OverflowRetireList overflow;
+    Domain domain;
+    std::uint32_t next_locale_id = 0;
+    /// domain.birth() sampled just before this locale's LIVE spine was
+    /// published — the era policies' lower lifetime tag when the next
+    /// resize retires it. Written only under the write lock; the
+    /// initial snapshot is born at era 0, matching the zero init.
+    std::uint64_t spine_birth = 0;
     /// Per-locale remote-block cache (DESIGN.md §11); constructed with
     /// the array, disabled when capacity is 0.
     std::unique_ptr<rt::BlockCache> cache;
   };
-
   [[nodiscard]] static std::size_t spine_bytes(
       const Snapshot<T>& s) noexcept {
     return sizeof(Snapshot<T>) + s.num_blocks() * sizeof(Block<T>*);
   }
 
-  /// EBR spine retirement with stall tolerance (RCU_Write lines 5-8,
-  /// deadline-bounded). Returns true when the drain completed and `old`
-  /// was freed; false when the deadline expired and `old` was deferred
-  /// onto locale `l`'s overflow list (bytes accounted on the locale and
-  /// against the watchdog budget).
-  bool retire_spine_ebr(PerLocale& p, std::uint32_t l, Snapshot<T>* old) {
-    const auto epoch = p.ebr.advance_epoch();
-    RCUA_SCHED_POINT("rcua.resize.epoch_bumped");
-    const reclaim::DrainResult drain =
-        p.ebr.try_wait_for_readers(epoch, stall_policy_);
-    // The drained fast path is only sound while the overflow list is
-    // empty: a pending entry means an earlier grace period on this
-    // domain never completed, so a reader announced on the *other*
-    // parity may have loaded `old` before this resize unpublished it
-    // (DESIGN.md §8). With entries pending, `old` joins the overflow
-    // list and waits for both columns like everything else.
-    if (drain.drained && p.overflow.pending_objects() == 0) {
-      RCUA_SCHED_POINT("rcua.resize.retire_spine");
-      obs::trace_instant("rcua.resize.reclaim", "rcua", l);
-      delete old;
-      return true;
-    }
-    reclaim::StallDiagnostic diag;
-    diag.kind = reclaim::StallDiagnostic::Kind::kEbrReader;
-    diag.domain = &p.ebr;
-    diag.locale = l;
-    diag.epoch = static_cast<std::uint64_t>(epoch);
-    diag.stripe = drain.stuck_stripe;
-    diag.stuck_readers = drain.stuck_readers;
-    diag.waited_ns = drain.waited_ns;
-    // Only an expired deadline is a stall; a drained-but-deferred spine
-    // (premise broken by an earlier stall) is bookkeeping, not news.
-    if (!drain.drained) monitor_->record_stall(diag);
-    const std::size_t bytes = spine_bytes(*old);
-    if (monitor_->would_exceed(bytes)) {
-      monitor_->escalate(diag);  // aborts under kFatal
-      if (monitor_->escalation() ==
-          reclaim::StallMonitor::Escalation::kBlock) {
-        // Hard memory bound: refuse the overflow and pay the blocking
-        // drain instead — memory stays bounded, resize latency degrades.
-        // Draining the overflow list first restores the fast-path
-        // premise, after which this spine's own column gates it.
-        plat::Backoff backoff(/*yield_threshold=*/4);
-        for (;;) {
-          flush_overflow_at(l);
-          if (p.overflow.pending_objects() == 0 &&
-              p.ebr.readers_at(static_cast<std::size_t>(epoch % 2)) == 0) {
-            break;
-          }
-          backoff.pause();
-        }
-        RCUA_SCHED_POINT("rcua.resize.retire_spine");
-        obs::trace_instant("rcua.resize.reclaim", "rcua", l);
-        delete old;
-        return true;
-      }
-      // kWarn: budget waived by configuration; fall through and defer.
-    }
-    stalled_spines_.fetch_add(1, std::memory_order_relaxed);
-    monitor_->note_overflow(bytes);
-    cluster_.locale(l).note_alloc(bytes);
-    p.overflow.push([](void* s) { delete static_cast<Snapshot<T>*>(s); },
-                    old, bytes, static_cast<std::uint64_t>(epoch));
-    RCUA_SCHED_POINT("rcua.resize.overflow_spine");
-    return false;
+  /// Allocates one block on `target` through `async` (`on
+  /// Locales[target]`; same-locale allocations run inline).
+  rt::future<Block<T>*> alloc_block(rt::AsyncComm& async,
+                                    std::uint32_t target) {
+    return async.execute(target, /*weight=*/0, [this, target]() {
+      Block<T>* b = new Block<T>(cluster_.locale(target), block_size_);
+      sim::charge(sim::CostModel::get().alloc_block_ns);
+      return b;
+    });
   }
 
-  /// Era spine retirement (IBR / hazard eras): stamps the spine's
-  /// [birth, retire] interval, ticks the era clock and scans — never
-  /// waits on readers and never defers to the overflow list. A stalled
-  /// reservation is a fixed interval, so it keeps at most the spines
-  /// whose lifetime overlaps it pending (≤ 2 per locale, independent of
-  /// how many resizes run past it; DESIGN.md §13) — the bound holds by
-  /// construction, with no budget to escalate. The StallMonitor still
-  /// hears about the stalled reader, as a purely diagnostic
-  /// kEraReservation once the laggard trails by kEraStallLagThreshold.
-  static constexpr std::uint64_t kEraStallLagThreshold = 3;
+  /// Sched/trace sites of one structural op's publish step.
+  struct PublishSites {
+    const char* publish;
+    const char* published;
+  };
+  static constexpr PublishSites kResizeSites{"rcua.resize.publish",
+                                             "rcua.resize.published"};
+  static constexpr PublishSites kRehomeSites{"rcua.rehome.publish",
+                                             "rcua.rehome.published"};
 
-  void retire_spine_interval(PerLocale& p, std::uint32_t l,
-                             Snapshot<T>* old, std::uint64_t birth_era) {
-    const std::size_t bytes = spine_bytes(*old);
-    const reclaim::RetireResult res = p.ebr.retire(
-        [](void* s) { delete static_cast<Snapshot<T>*>(s); }, old, bytes,
-        birth_era);
-    obs::trace_instant("rcua.resize.reclaim", "rcua", l);
-    if (res.pending_objects > 0 &&
-        res.reservation_lag >= kEraStallLagThreshold) {
-      obs::health::epoch_lag().update_max(res.reservation_lag);
-      reclaim::StallDiagnostic diag;
-      diag.kind = reclaim::StallDiagnostic::Kind::kEraReservation;
-      diag.domain = &p.ebr;
-      diag.locale = l;
-      diag.epoch = res.era;
-      diag.stripe = res.laggard_slot;
-      diag.era_lag = res.reservation_lag;
-      diag.overflow_bytes = res.pending_bytes;
-      monitor_->record_stall(diag);
-    }
-  }
+  /// A spine swap_spine unpublished, with its domain birth tag.
+  struct Unpublished {
+    Snapshot<T>* spine;
+    std::uint64_t birth;
+  };
 
-  /// Frees locale `l`'s deferred spines that have seen both reader
-  /// columns empty since deferral (the "retry reclamation
-  /// opportunistically" half of the watchdog design; called from every
-  /// resize path and reclaim_overflow()). Era policies have no overflow
-  /// list — their pending spines live on the reclaimer's own (bounded)
-  /// retire list, and a scan is the retry.
-  void flush_overflow_at(std::uint32_t l) {
+  /// The per-locale step of every structural op (resize_add,
+  /// resize_remove, rehome): retry locale `l`'s deferred frees, clone
+  /// its spine through `clone`, publish the clone, and hand back the
+  /// spine it replaced for the caller to retire — resize_add at once,
+  /// the others after their blocking fence_drain(). Caller holds the
+  /// write lock.
+  template <typename Clone>
+  Unpublished swap_spine(std::uint32_t l, const PublishSites& sites,
+                         Clone&& clone) {
     PerLocale& p = priv_at(l);
-    if constexpr (Policy::is_interval) {
-      if (p.ebr.pending_objects() != 0) p.ebr.scan();
-    } else {
-      if (p.overflow.pending_objects() == 0) return;
-      const auto flushed = p.overflow.flush_ready(
-          [&](std::size_t parity) { return p.ebr.readers_at(parity) == 0; });
-      if (flushed.objects != 0) {
-        cluster_.locale(l).note_free(flushed.bytes);
-        monitor_->note_flushed(flushed.bytes, flushed.objects);
-      }
+    p.domain.flush();
+    Snapshot<T>* old = p.global_snapshot.load(std::memory_order_relaxed);
+    Snapshot<T>* fresh = clone(*old);
+    RCUA_SCHED_POINT(sites.publish);
+    const std::uint64_t birth = p.domain.birth();  // BEFORE the publish
+    p.global_snapshot.store(fresh, std::memory_order_release);
+    RCUA_SCHED_POINT(sites.published);
+    obs::trace_instant(sites.publish, "rcua", l);
+    return {old, std::exchange(p.spine_birth, birth)};
+  }
+
+  /// Frees blocks that no locale's spine reaches any more, after every
+  /// locale's fence_drain() returned (QSBR defers them instead).
+  void free_blocks(const std::vector<Block<T>*>& blocks,
+                   [[maybe_unused]] const char* site) {
+    const auto& m = sim::CostModel::get();
+    PerLocale& p = priv();
+    for (Block<T>* b : blocks) {
+      RCUA_SCHED_POINT(site);
+      cluster_.locale(b->owner()).note_free(b->capacity() * sizeof(T));
+      sim::charge(m.alloc_block_ns / 2);
+      p.domain.defer_free(b);
     }
+  }
+
+  [[nodiscard]] std::size_t sum_pending(
+      std::size_t reclaim::Pending::*field) const {
+    std::size_t total = 0;
+    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
+      total += priv_at(l).domain.pending().*field;
+    }
+    return total;
+  }
+
+  /// Enters the calling locale's read-side section and pins its current
+  /// spine; the section lasts as long as the returned Pin.
+  [[nodiscard]] SpinePin pin_spine() const {
+    PerLocale& p = priv();
+    return p.domain.pin(p.global_snapshot);
   }
 
   [[nodiscard]] PerLocale& priv() const {
@@ -1248,6 +956,26 @@ class RCUArray {
         cluster_.privatization().get(pid_, locale));
     assert(p != nullptr);
     return *p;
+  }
+
+  /// Runs `fn(b, block)` over locale `l`'s own blocks in its current
+  /// snapshot, outside any read-side section: callers rule out
+  /// concurrent resizes.
+  template <typename F>
+  void visit_local_blocks(std::uint32_t l, bool is_write, F&& fn) {
+    Snapshot<T>* s = priv_at(l).global_snapshot.load(std::memory_order_acquire);
+    for (std::size_t b = 0; b < s->num_blocks(); ++b) {
+      Block<T>* blk = s->block(b);
+      if (blk->owner() != l) continue;
+      sim::touch_block(blk->id(), false, is_write);
+      fn(b, *blk);
+    }
+  }
+
+  /// Element copies out of a shared block, element_load per element so
+  /// §III-C element races stay defined.
+  static void load_span(const T* src, std::size_t n, T* dst) {
+    for (std::size_t k = 0; k < n; ++k) dst[k] = plat::element_load(src[k]);
   }
 
   /// Shared engine of bulk_read/bulk_write/for_each_block. Resolves the
@@ -1379,16 +1107,7 @@ class RCUArray {
       }
     };
 
-    if constexpr (Policy::is_qsbr) {
-      qsbr_->ensure_participant();
-      body(p.global_snapshot.load(std::memory_order_acquire));
-    } else if constexpr (Policy::is_interval) {
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      body(guard.protect(p.global_snapshot));
-    } else {
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      body(p.global_snapshot.load(std::memory_order_acquire));
-    }
+    body(pin_spine().get());  // the Pin temporary outlives body()
     RCUA_SCHED_POINT("rcua.bulk.released");
     if (RCUA_SCHED_MUT(bulk_flush_after_release)) {
       // MUTATION (sched harness only): the buffered ops run after the
@@ -1406,115 +1125,34 @@ class RCUArray {
   }
 
   /// Runs `fn(slot, block)` against element `i` INSIDE the read-side
-  /// section — the migration-safe twin of index_rw. Charges, sched
-  /// points and comm accounting are identical to index_rw (the bench
-  /// gate counts on it); the only difference is where the caller's
-  /// access lands relative to the section exit. read()/write() use this
-  /// so value ops stay correct concurrent with rehome(), whose replaced
-  /// blocks are reclaimed (not recycled) after the drain — the §III-C
-  /// escaping-reference relaxation that index() relies on does not
-  /// survive a migration.
+  /// section (Algorithm 3, Index, with `fn` as the Helper's last line).
+  /// index() passes the identity, so its reference escapes the section
+  /// deliberately (§III-C): it points into a recycled block, not the
+  /// reclaimed spine. read()/write() complete in-section instead, so
+  /// value ops stay correct concurrent with rehome(), whose replaced
+  /// blocks are reclaimed (not recycled) after the drain.
   template <typename F>
   decltype(auto) with_slot(std::size_t i, bool is_write, F&& fn) {
     const auto& m = sim::CostModel::get();
     sim::charge(m.rcua_index_ns);
-    PerLocale& p = priv();
-    const std::size_t bidx = i / block_size_;
-    const std::size_t off = i % block_size_;
     const std::uint32_t here = cluster_.here();
-
-    auto helper = [&](Snapshot<T>* s) -> decltype(auto) {
-      RCUA_SCHED_POINT("rcua.index.deref_spine");
-      assert(bidx < s->num_blocks() && "index beyond current capacity");
-      Block<T>* b = s->block(bidx);
-      cluster_.comm().record_access(here, b->owner(), is_write);
-      sim::touch_block(b->id(), b->owner() != here, is_write,
-                       m.rcua_spine_miss_ns);
-      return fn((*b)[off], b);
-    };
-
-    if constexpr (Policy::is_qsbr) {
-      qsbr_->ensure_participant();
-      Snapshot<T>* s = p.global_snapshot.load(std::memory_order_acquire);
-      sim::charge(m.atomic_load_ns);
-      if (rt::FaultPlan* plan = cluster_.fault_plan()) {
-        plan->stall_here(here);  // chaos: stall while holding the snapshot
-      }
-      return helper(s);
-    } else if constexpr (Policy::is_interval) {
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      sim::charge(m.atomic_load_ns);
-      Snapshot<T>* s = guard.protect(p.global_snapshot);
-      if (rt::FaultPlan* plan = cluster_.fault_plan()) {
-        plan->stall_here(here);  // chaos: stall while holding a reservation
-      }
-      return helper(s);
-    } else {
-      return p.ebr.read([&]() -> decltype(auto) {
-        sim::charge(m.atomic_load_ns);
-        if (rt::FaultPlan* plan = cluster_.fault_plan()) {
-          plan->stall_here(here);  // chaos: stall mid-read-section
-        }
-        return helper(p.global_snapshot.load(std::memory_order_acquire));
-      });
+    PerLocale& p = priv_at(here);
+    const std::size_t bidx = i / block_size_;  // line 1
+    const std::size_t off = i % block_size_;   // line 2
+    // The load is charged inside the section, before the protected load
+    // (under the era policies: before the reservation is published).
+    SpinePin pin = p.domain.pin(
+        p.global_snapshot, [&] { sim::charge(m.atomic_load_ns); });
+    if (rt::FaultPlan* plan = cluster_.fault_plan()) {
+      plan->stall_here(here);  // chaos: stall while holding the snapshot
     }
-  }
-
-  T& index_rw(std::size_t i, bool is_write, Block<T>** out_block = nullptr) {
-    const auto& m = sim::CostModel::get();
-    sim::charge(m.rcua_index_ns);
-    PerLocale& p = priv();
-    const std::size_t bidx = i / block_size_;   // line 1
-    const std::size_t off = i % block_size_;    // line 2
-    const std::uint32_t here = cluster_.here();
-
-    auto helper = [&](Snapshot<T>* s) -> T& {  // nested proc Helper
-      RCUA_SCHED_POINT("rcua.index.deref_spine");
-      assert(bidx < s->num_blocks() && "index beyond current capacity");
-      Block<T>* b = s->block(bidx);
-      if (out_block != nullptr) *out_block = b;
-      cluster_.comm().record_access(here, b->owner(), is_write);
-      sim::touch_block(b->id(), b->owner() != here, is_write,
-                       m.rcua_spine_miss_ns);
-      return (*b)[off];  // line 3
-    };
-
-    if constexpr (Policy::is_qsbr) {
-      // line 6: safe to use the snapshot directly — it will not be
-      // reclaimed before this thread's next checkpoint. The thread must
-      // be visible to the safe-epoch minimum first (the paper's "all
-      // threads act as participants").
-      qsbr_->ensure_participant();
-      Snapshot<T>* s = p.global_snapshot.load(std::memory_order_acquire);
-      sim::charge(m.atomic_load_ns);
-      if (rt::FaultPlan* plan = cluster_.fault_plan()) {
-        plan->stall_here(here);  // chaos: stall while holding the snapshot
-      }
-      return helper(s);
-    } else if constexpr (Policy::is_interval) {
-      // Era read section: the reservation published by protect() covers
-      // the spine until the guard dies. The returned reference escapes
-      // the section deliberately, same as EBR below (§III-C): it points
-      // into a recycled block, not the reclaimed spine.
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      sim::charge(m.atomic_load_ns);
-      Snapshot<T>* s = guard.protect(p.global_snapshot);
-      if (rt::FaultPlan* plan = cluster_.fault_plan()) {
-        plan->stall_here(here);  // chaos: stall while holding a reservation
-      }
-      return helper(s);
-    } else {
-      // line 8: RCU_Read with Helper as the λ. The returned reference
-      // escapes the critical section deliberately (§III-C): it points
-      // into a recycled block, not the reclaimed spine.
-      return p.ebr.read([&]() -> T& {
-        sim::charge(m.atomic_load_ns);
-        if (rt::FaultPlan* plan = cluster_.fault_plan()) {
-          plan->stall_here(here);  // chaos: stall mid-read-section
-        }
-        return helper(p.global_snapshot.load(std::memory_order_acquire));
-      });
-    }
+    RCUA_SCHED_POINT("rcua.index.deref_spine");
+    assert(bidx < pin->num_blocks() && "index beyond current capacity");
+    Block<T>* b = pin->block(bidx);
+    cluster_.comm().record_access(here, b->owner(), is_write);
+    sim::touch_block(b->id(), b->owner() != here, is_write,
+                     m.rcua_spine_miss_ns);
+    return fn((*b)[off], b);  // line 3
   }
 
   // -- Block cache machinery (DESIGN.md §11) ---------------------------
@@ -1560,14 +1198,7 @@ class RCUArray {
         b.owner(), /*weight=*/n, [bp, dst, n]() -> std::uint64_t {
           RCUA_SCHED_POINT("rcua.cache.fill_copy");
           const std::uint64_t gen = bp->generation();  // BEFORE the copy
-          const T* src = bp->data();
-          if constexpr (plat::relaxed_capable_v<T>) {
-            for (std::size_t k = 0; k < n; ++k) {
-              dst[k] = plat::relaxed_load(src[k]);
-            }
-          } else {
-            std::copy(src, src + n, dst);
-          }
+          load_span(bp->data(), n, dst);
           sim::charge(sim::CostModel::get().cache_copy_ns_per_elem *
                       static_cast<double>(n));
           return gen;
@@ -1588,83 +1219,47 @@ class RCUArray {
     const std::size_t bidx = i / block_size_;
     const std::size_t off = i % block_size_;
     const std::uint32_t here = cluster_.here();
-
-    auto body = [&](Snapshot<T>* s) -> T {
-      sim::charge(m.atomic_load_ns);
-      if (rt::FaultPlan* plan = cluster_.fault_plan()) {
-        plan->stall_here(here);  // chaos: stall while holding the snapshot
-      }
-      RCUA_SCHED_POINT("rcua.index.deref_spine");
-      if (bidx >= s->num_blocks()) {
-        throw std::out_of_range(
-            "RCUArray::read: index " + std::to_string(i) + " >= capacity " +
-            std::to_string(s->capacity()));
-      }
-      // The pinned version is hoisted off the snapshot ONCE — the cache
-      // tag, the sched points and the charges below all read this value.
-      const std::uint64_t pinned_version = s->version();
-      Block<T>* b = s->block(bidx);
-      if (b->owner() == here) {
-        cluster_.comm().record_access(here, here, false);
-        sim::touch_block(b->id(), false, false, m.rcua_spine_miss_ns);
-        if constexpr (plat::relaxed_capable_v<T>) {
-          return plat::relaxed_load((*b)[off]);
-        } else {
-          return (*b)[off];
-        }
-      }
-      sim::charge(m.cache_lookup_ns);
-      const std::uint64_t gen = b->generation();
-      auto cached = p.cache->lookup(array_id(), bidx, pinned_version, gen);
-      if (cached == nullptr) {
-        // Miss: fill the whole block. The future drains HERE, inside
-        // the section — the copy source is the pinned snapshot's block
-        // (the drain-before-release rule extended to fills).
-        rt::AsyncComm async(cluster_.comm(), here);
-        BlockFill f = issue_fill(async, p, *b, bidx);
-        const std::uint64_t fill_gen = f.done.get();
-        p.cache->insert(array_id(), bidx, pinned_version, fill_gen, f.buf,
-                        block_size_ * sizeof(T));
-        cached = f.buf;
-      }
-      sim::charge(m.cache_copy_ns_per_elem);
-      return reinterpret_cast<const T*>(cached.get())[off];
-    };
-
-    if constexpr (Policy::is_qsbr) {
-      qsbr_->ensure_participant();
-      return body(p.global_snapshot.load(std::memory_order_acquire));
-    } else if constexpr (Policy::is_interval) {
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      return body(guard.protect(p.global_snapshot));
-    } else {
-      // Explicit guard (not ebr.read): the bounds check above may throw,
-      // and the guard's destructor retracts on unwind.
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      return body(p.global_snapshot.load(std::memory_order_acquire));
+    // Closes the section on unwind too, when the bounds check throws.
+    const SpinePin pin = pin_spine();
+    sim::charge(m.atomic_load_ns);
+    if (rt::FaultPlan* plan = cluster_.fault_plan()) {
+      plan->stall_here(here);  // chaos: stall while holding the snapshot
     }
-  }
-
-  template <typename F>
-  [[nodiscard]] auto with_snapshot(F&& fn) const {
-    PerLocale& p = priv();
-    if constexpr (Policy::is_qsbr) {
-      qsbr_->ensure_participant();
-      return fn(*p.global_snapshot.load(std::memory_order_acquire));
-    } else if constexpr (Policy::is_interval) {
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      return fn(*guard.protect(p.global_snapshot));
-    } else {
-      return p.ebr.read([&] {
-        return fn(*p.global_snapshot.load(std::memory_order_acquire));
-      });
+    RCUA_SCHED_POINT("rcua.index.deref_spine");
+    if (bidx >= pin->num_blocks()) {
+      throw std::out_of_range(
+          "RCUArray::read: index " + std::to_string(i) + " >= capacity " +
+          std::to_string(pin->capacity()));
     }
+    // The pinned version is hoisted off the snapshot ONCE — the cache
+    // tag, the sched points and the charges below all read this value.
+    const std::uint64_t pinned_version = pin->version();
+    Block<T>* b = pin->block(bidx);
+    if (b->owner() == here) {
+      cluster_.comm().record_access(here, here, false);
+      sim::touch_block(b->id(), false, false, m.rcua_spine_miss_ns);
+      return plat::element_load((*b)[off]);
+    }
+    sim::charge(m.cache_lookup_ns);
+    const std::uint64_t gen = b->generation();
+    auto cached = p.cache->lookup(array_id(), bidx, pinned_version, gen);
+    if (cached == nullptr) {
+      // Miss: fill the whole block. The future drains HERE, inside the
+      // section — the copy source is the pinned snapshot's block (the
+      // drain-before-release rule extended to fills).
+      rt::AsyncComm async(cluster_.comm(), here);
+      BlockFill f = issue_fill(async, p, *b, bidx);
+      const std::uint64_t fill_gen = f.done.get();
+      p.cache->insert(array_id(), bidx, pinned_version, fill_gen, f.buf,
+                      block_size_ * sizeof(T));
+      cached = f.buf;
+    }
+    sim::charge(m.cache_copy_ns_per_elem);
+    return reinterpret_cast<const T*>(cached.get())[off];
   }
 
   rt::Cluster& cluster_;
   std::size_t block_size_;
-  reclaim::Qsbr* qsbr_;
-  reclaim::StallPolicy stall_policy_;
   reclaim::StallMonitor* monitor_;
   std::uint32_t max_publish_attempts_;
   std::size_t cache_capacity_;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <type_traits>
+#include <utility>
 
 namespace rcua::plat {
 
@@ -38,6 +39,26 @@ template <typename T>
 inline void relaxed_store(T& slot, T value) noexcept {
   static_assert(relaxed_capable_v<T>);
   std::atomic_ref<T>(slot).store(value, std::memory_order_relaxed);
+}
+
+/// Element access under that contract: relaxed atomics where T is
+/// relaxed-capable, plain accesses otherwise.
+template <typename T>
+[[nodiscard]] inline T element_load(const T& slot) {
+  if constexpr (relaxed_capable_v<T>) {
+    return relaxed_load(slot);
+  } else {
+    return slot;
+  }
+}
+
+template <typename T>
+inline void element_store(T& slot, T value) {
+  if constexpr (relaxed_capable_v<T>) {
+    relaxed_store(slot, value);
+  } else {
+    slot = std::move(value);
+  }
 }
 
 template <typename T>

@@ -163,35 +163,23 @@ class BasicEbr {
   /// snapshots (RCUArray's blocks do; the snapshot spine does not).
   template <typename F>
   decltype(auto) read(F&& fn) {
-    const std::size_t slot = announce();
-    obs::trace_event("rcu.read_section", "rcu", 'B');
-    const std::uint64_t dwell_start = dwell_clock_if_enabled();
-    if constexpr (std::is_void_v<decltype(fn())>) {
-      std::forward<F>(fn)();
-      RCUA_SCHED_POINT("ebr.read.leave");
-      note_section_end(dwell_start);
-      retract(slot);
-      return;
-    } else {
-      decltype(auto) result = std::forward<F>(fn)();
-      RCUA_SCHED_POINT("ebr.read.leave");
-      note_section_end(dwell_start);
-      retract(slot);
-      return result;
-    }
+    ReadGuard guard(*this);
+    return std::forward<F>(fn)();
   }
 
   /// RAII read-side critical section for code that wants to hold the
-  /// section open across several statements. Enters through the same
-  /// announce() loop as read(), so hooks, schedule points and stats fire
-  /// identically on both paths.
+  /// section open across several statements; read() is one of these
+  /// around `fn`.
   class ReadGuard {
    public:
-    explicit ReadGuard(BasicEbr& ebr) : ebr_(ebr), slot_(ebr.announce()) {
+    // Forced inline: every element op enters its section here, and an
+    // out-of-line guard would add a call pair to each of them.
+    [[gnu::always_inline]] explicit ReadGuard(BasicEbr& ebr)
+        : ebr_(ebr), slot_(ebr.announce()) {
       obs::trace_event("rcu.read_section", "rcu", 'B');
       dwell_start_ = dwell_clock_if_enabled();
     }
-    ~ReadGuard() {
+    [[gnu::always_inline]] ~ReadGuard() {
       RCUA_SCHED_POINT("ebr.guard.leave");
       note_section_end(dwell_start_);
       ebr_.retract(slot_);

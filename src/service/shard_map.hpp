@@ -18,8 +18,8 @@ namespace rcua::svc {
 /// (DESIGN.md §14): each locale holds a privatized
 /// `std::atomic<ShardMap*>`, a routing read is an RCU read of that
 /// pointer, and a remap is a resize-style publication — clone, swap,
-/// reclaim the old table through the configured Reclaimer policy once
-/// its readers drain.
+/// free the old table through the policy's reclamation domain once its
+/// readers drain.
 ///
 /// The Lemma 6 recycling argument carries over in a *stronger* form:
 /// the entries here are locale ids (plain values), not pointers into

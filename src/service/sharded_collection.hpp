@@ -33,8 +33,8 @@ namespace rcua::svc {
 /// (Options::home_locale), which is what makes live migration a
 /// wholesale move: `migrate(shard, dst)` copies the shard's blocks to
 /// `dst` through the §10 async comm path (RCUArray::rehome), publishes a
-/// new ShardMap, and retires the old table through the configured
-/// Reclaimer policy once its readers drain. Routing a read is an RCU
+/// new ShardMap, and frees the old table through the policy's
+/// reclamation domain once its readers drain. Routing a read is an RCU
 /// read of the mapping — stale routes are safe because map entries are
 /// locale ids (values), not pointers (see ShardMap).
 ///
@@ -64,14 +64,13 @@ class ShardedCollection {
   using Backend = RCUArray<T, Policy>;
   using BulkOptions = typename Backend::BulkOptions;
 
-  static constexpr bool uses_qsbr = Policy::is_qsbr;
+  static constexpr bool uses_qsbr = Backend::uses_qsbr;
 
   ShardedCollection(rt::Cluster& cluster, std::size_t initial_capacity = 0,
                     Options options = {})
       : cluster_(cluster),
         block_size_(options.block_size),
         shard_count_(resolve_shard_count(options.shard_count, cluster)),
-        qsbr_(options.qsbr),
         pid_(cluster.privatization().create()),
         routed_(cluster.comm().registry().counter("rcua.service.routed",
                                                   cluster.num_locales())),
@@ -105,7 +104,8 @@ class ShardedCollection {
                                                   shard_opts));
     }
     cluster_.coforall_locales([&](std::uint32_t l) {
-      auto* p = new PerLocale;
+      auto* p = new PerLocale(cluster_.locale(l),
+                              reclaim::DomainOptions{.qsbr = options.qsbr});
       p->map.store(new ShardMap(home), std::memory_order_relaxed);
       cluster_.privatization().set(pid_, l, p);
     });
@@ -300,11 +300,12 @@ class ShardedCollection {
 
  private:
   struct alignas(plat::kCacheLine) PerLocale {
+    PerLocale(rt::Locale& locale, const reclaim::DomainOptions& opts)
+        : domain(locale, opts) {}
     std::atomic<ShardMap*> map{nullptr};
-    // The mapping table's own reclaimer instance, same policy shape as
-    // the spine's (one stripe under QSBR, where it is never exercised).
-    typename Policy::Reclaimer ebr{0, Policy::is_qsbr ? std::size_t{1}
-                                                      : std::size_t{0}};
+    /// The mapping table's own reclamation domain, same policy as the
+    /// shards' spines.
+    typename Policy::Domain domain;
   };
 
   struct Route {
@@ -328,26 +329,13 @@ class ShardedCollection {
   }
 
   /// The RCU read of the mapping table: pins the calling locale's table
-  /// under the policy's read-side protocol (the exact index_rw idiom),
-  /// runs `fn` against it, and releases. `fn` must not escape pointers
-  /// into the table — locale ids are values, copy them out.
+  /// in its domain (the same pin RCUArray reads its spine through), runs
+  /// `fn` against it, and releases. `fn` must not escape pointers into
+  /// the table — locale ids are values, copy them out.
   template <typename F>
   auto read_map(F&& fn) {
     PerLocale& p = priv();
-    if constexpr (Policy::is_qsbr) {
-      qsbr().ensure_participant();
-      return fn(*p.map.load(std::memory_order_acquire));
-    } else if constexpr (Policy::is_interval) {
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      return fn(*guard.protect(p.map));
-    } else {
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      return fn(*p.map.load(std::memory_order_acquire));
-    }
-  }
-
-  [[nodiscard]] reclaim::Qsbr& qsbr() const noexcept {
-    return qsbr_ != nullptr ? *qsbr_ : reclaim::Qsbr::global();
+    return fn(*p.domain.pin(p.map));
   }
 
   /// Block-cyclic routing + the routing metrics: one routed count per
@@ -390,12 +378,12 @@ class ShardedCollection {
   }
 
   /// The resize-style mapping publication: per locale, clone the table
-  /// with the shard re-homed, swap, and reclaim the old table through the
-  /// configured policy once that locale's routing readers drain.
-  /// Deliberately BLOCKING under the era policies too (like
-  /// resize_remove): tables are a few dozen bytes and remaps are rare,
-  /// so a bounded wait beats threading the overflow machinery through a
-  /// second object type. Caller holds remap_mu_.
+  /// with the shard re-homed, swap, and free the old table once that
+  /// locale's routing readers drain. The drain is BLOCKING under every
+  /// policy but QSBR (like resize_remove): tables are a few dozen bytes
+  /// and remaps are rare, so a bounded wait beats threading the
+  /// overflow machinery through a second object type. Caller holds
+  /// remap_mu_.
   void publish_map(std::size_t shard, std::uint32_t dst) {
     cluster_.coforall_locales([&](std::uint32_t l) {
       PerLocale& p = priv_at(l);
@@ -405,17 +393,8 @@ class ShardedCollection {
       p.map.store(fresh, std::memory_order_release);
       RCUA_SCHED_POINT("svc.remap.published");
       obs::trace_instant("svc.remap.publish", "service", l);
-      if constexpr (Policy::is_qsbr) {
-        qsbr().defer_delete(old);
-      } else if constexpr (Policy::is_interval) {
-        const std::uint64_t fence = p.ebr.advance_era();
-        p.ebr.wait_for_readers(fence);
-        delete old;
-      } else {
-        const auto epoch = p.ebr.advance_epoch();
-        p.ebr.wait_for_readers(epoch);
-        delete old;
-      }
+      p.domain.fence_drain();
+      p.domain.defer_free(old);
     });
     remaps_.add();
   }
@@ -423,7 +402,6 @@ class ShardedCollection {
   rt::Cluster& cluster_;
   std::size_t block_size_;
   std::size_t shard_count_;
-  reclaim::Qsbr* qsbr_;
   int pid_;
   std::vector<std::unique_ptr<Backend>> shards_;
   std::atomic<std::size_t> total_blocks_{0};

@@ -160,7 +160,7 @@ void run_read_after_write_never_stale() {
   arr.bulk_write(kBlock, std::span<const std::uint64_t>(vals.data(),
                                                         vals.size()));
   EXPECT_EQ(arr.read(idx), 333u) << "stale cached copy after bulk write";
-  if constexpr (Policy::is_qsbr) {
+  if constexpr (decltype(arr)::uses_qsbr) {
     rcua::reclaim::Qsbr::global().flush_unsafe();
   }
 }

@@ -224,6 +224,10 @@ TEST(QsbrStress, CanariesStayAliveUntilQuiescence) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
+      // Participate before the first load (the Qsbr contract): a reader
+      // the min-epoch scan cannot see may lose its canary to a
+      // checkpoint that ran before the reader's first one.
+      qsbr.ensure_participant();
       int ops = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         // Read the protected pointer; valid until our next checkpoint.

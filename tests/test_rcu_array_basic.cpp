@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/rcu_array.hpp"
@@ -228,4 +229,32 @@ TEST(RcuArrayQsbr, ResizeDefersOldSpines) {
   arr.resize_add(64);
   // One old spine deferred per locale.
   EXPECT_EQ(qsbr.stats().defers, before + 2);
+}
+
+namespace {
+
+/// An element whose construction throws on demand: the first
+/// allocation of a grow fails like a bad_alloc would.
+struct ThrowingElem {
+  static inline bool fail = false;
+  ThrowingElem() {
+    if (fail) throw std::runtime_error("element construction failed");
+  }
+  std::uint64_t value = 0;
+};
+
+}  // namespace
+
+TEST(RcuArrayEbr, FailedResizeReleasesWriteLock) {
+  rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
+  RCUArray<ThrowingElem, EbrPolicy> arr(cluster, 0, {.block_size = 8});
+  // A one-block grow: the throw comes before any block exists.
+  ThrowingElem::fail = true;
+  EXPECT_THROW(arr.resize_add(8), std::runtime_error);
+  ThrowingElem::fail = false;
+  // A leaked write lock would make the next resize_add hang forever.
+  ASSERT_TRUE(arr.write_lock().try_lock());
+  arr.write_lock().unlock();
+  arr.resize_add(8);
+  EXPECT_EQ(arr.capacity(), 8u);
 }

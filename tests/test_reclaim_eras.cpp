@@ -4,7 +4,9 @@
 // unreclaimed memory of the era policies stays below a constant bound
 // independent of how long the reader stalls (how many resizes run past
 // it), while EBR's deadline-deferred overflow list and QSBR's deferral
-// queue grow linearly on the identical scenario.
+// queue grow linearly on the identical scenario. Last, the contract of
+// the per-locale reclamation domain (reclaim/domain.hpp), typed over all
+// five policies.
 
 #include <gtest/gtest.h>
 
@@ -403,4 +405,134 @@ TEST(EraContrast, QsbrDeferralsGrowLinearlyUnderLaggardParticipant) {
   qsbr.checkpoint();
   qsbr.flush_unsafe();
   EXPECT_EQ(qsbr.pending_total(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// The reclamation-domain contract, over every policy's Domain.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/// A protected object that reports its own destruction.
+struct Flagged {
+  explicit Flagged(std::atomic<bool>* freed_flag) : freed(freed_flag) {}
+  ~Flagged() { freed->store(true, std::memory_order_seq_cst); }
+  std::atomic<bool>* freed;
+};
+
+template <typename Policy>
+struct DomainContract {
+  using Domain = typename Policy::Domain;
+
+  DomainContract() : qsbr(registry) {
+    opts.qsbr = &qsbr;
+    opts.monitor = &sm.monitor;
+    // EBR retire must park, not block, behind the pinned reader.
+    opts.stall_policy.deadline_ns = 1000 * 1000;
+    opts.stall_policy.park_ns = 20 * 1000;
+  }
+
+  /// Pins `src` on a reader thread and publishes the pinned pointer,
+  /// holds the section for 30 ms, records whether the pinned object —
+  /// whose destruction sets `freed` — was freed meanwhile, leaves the
+  /// section, and checkpoints (the QSBR quiescent state). The flag is
+  /// read, never the object.
+  std::thread reader(Domain& dom, std::atomic<Flagged*>& src,
+                     const std::atomic<bool>& freed,
+                     std::atomic<Flagged*>& pinned,
+                     std::atomic<bool>& freed_while_pinned) {
+    return std::thread([&] {
+      {
+        auto pin = dom.pin(src);
+        pinned.store(pin.get());
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        freed_while_pinned.store(freed.load());
+      }
+      qsbr.checkpoint();
+    });
+  }
+
+  static void expect_nothing_pending(const Domain& dom) {
+    const reclaim::Pending p = dom.pending();
+    EXPECT_EQ(p.objects, 0u);
+    EXPECT_EQ(p.bytes, 0u);
+    EXPECT_EQ(p.overflow_objects, 0u);
+    EXPECT_EQ(p.overflow_bytes, 0u);
+  }
+
+  rt::ThreadRegistry registry;
+  reclaim::Qsbr qsbr;
+  SilentMonitor sm;
+  rt::Locale locale{0};
+  reclaim::DomainOptions opts;
+};
+
+Flagged* wait_for(const std::atomic<Flagged*>& pinned) {
+  while (pinned.load() == nullptr) std::this_thread::yield();
+  return pinned.load();
+}
+
+}  // namespace
+
+template <typename Policy>
+class DomainContractTest : public ::testing::Test {};
+
+using AllPolicies =
+    ::testing::Types<rcua::EbrPolicy, rcua::LegacyEbrPolicy,
+                     rcua::QsbrPolicy, rcua::IbrPolicy,
+                     rcua::HazardErasPolicy>;
+TYPED_TEST_SUITE(DomainContractTest, AllPolicies);
+
+TYPED_TEST(DomainContractTest, RetiredObjectOutlivesItsPin) {
+  DomainContract<TypeParam> c;
+  typename TypeParam::Domain dom(c.locale, c.opts);
+  std::atomic<bool> freed_a{false};
+  std::atomic<bool> freed_b{false};
+  std::atomic<Flagged*> src{new Flagged(&freed_a)};
+  const std::uint64_t birth_a = dom.birth();
+  std::atomic<Flagged*> pinned{nullptr};
+  std::atomic<bool> freed_while_pinned{true};
+  std::thread r = c.reader(dom, src, freed_a, pinned, freed_while_pinned);
+  EXPECT_EQ(wait_for(pinned), src.load());
+  const std::uint64_t birth_b = dom.birth();
+  Flagged* a = src.exchange(new Flagged(&freed_b));
+  dom.retire(a, sizeof(Flagged), birth_a);
+  r.join();
+  EXPECT_FALSE(freed_while_pinned.load());
+  // The holder is gone: a flush (QSBR: a checkpoint) reclaims the rest.
+  dom.flush();
+  c.qsbr.checkpoint();
+  EXPECT_TRUE(freed_a.load());
+  DomainContract<TypeParam>::expect_nothing_pending(dom);
+  dom.retire(src.load(), sizeof(Flagged), birth_b);
+  dom.flush();
+  c.qsbr.checkpoint();
+  EXPECT_TRUE(freed_b.load());
+  DomainContract<TypeParam>::expect_nothing_pending(dom);
+}
+
+TYPED_TEST(DomainContractTest, DeferFreeAfterFenceDrainOutlivesItsPin) {
+  DomainContract<TypeParam> c;
+  typename TypeParam::Domain dom(c.locale, c.opts);
+  std::atomic<bool> freed_a{false};
+  std::atomic<bool> freed_b{false};
+  std::atomic<Flagged*> src{new Flagged(&freed_a)};
+  std::atomic<Flagged*> pinned{nullptr};
+  std::atomic<bool> freed_while_pinned{true};
+  std::thread r = c.reader(dom, src, freed_a, pinned, freed_while_pinned);
+  EXPECT_EQ(wait_for(pinned), src.load());
+  Flagged* a = src.exchange(new Flagged(&freed_b));
+  // Blocks until the reader leaves (QSBR: returns at once, and the
+  // deferral waits for the reader's checkpoint instead).
+  dom.fence_drain();
+  dom.defer_free(a);
+  r.join();
+  EXPECT_FALSE(freed_while_pinned.load());
+  c.qsbr.checkpoint();
+  EXPECT_TRUE(freed_a.load());
+  DomainContract<TypeParam>::expect_nothing_pending(dom);
+  dom.fence_drain();
+  dom.defer_free(src.load());
+  c.qsbr.checkpoint();
+  EXPECT_TRUE(freed_b.load());
 }

@@ -7,13 +7,12 @@
 //             deterministic slice of the keyspace; the comm counters
 //             (gets / puts / executes) and the service routing counters
 //             (routed / routed_remote) are a pure function of the
-//             workload because routing is block-cyclic arithmetic plus
-//             an RCU read of the mapping table.
+//             workload because routing is block-cyclic arithmetic
+//             against each shard's own home locale.
 //   migrate — every shard live-migrates to the next locale; the comm
 //             executes (block allocs + pipelined copies on the §10
 //             async path) and the migration counters (migrations /
-//             migrated_blocks / remaps) are a pure function of the
-//             block layout.
+//             migrated_blocks) are a pure function of the block layout.
 //
 // The bench proves migration correctness cheaply the way the cache
 // ablation proves coherence: a full checksum before the migrations must
@@ -140,7 +139,6 @@ int main() {
         .kv("executes", mig.executes)
         .kv("migrations", migrations)
         .kv("migrated_blocks", migrated_blocks_total)
-        .kv("remaps", coll.remaps())
         .print();
     std::uint64_t after = 0;
     for (const std::uint64_t v : coll.bulk_read(0, cap)) after += v;

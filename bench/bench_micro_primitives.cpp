@@ -11,6 +11,7 @@
 #include "platform/spinlock.hpp"
 #include "platform/topology.hpp"
 #include "rcua.hpp"
+#include "service/sharded_collection.hpp"
 
 namespace {
 
@@ -127,6 +128,29 @@ void BM_RcuArrayIndexEbr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RcuArrayIndexEbr);
+
+void BM_RcuArrayReadEbr(benchmark::State& state) {
+  rcua::rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
+  rcua::RCUArray<std::uint64_t, rcua::EbrPolicy> arr(cluster, 1 << 16);
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(arr.read((i++ * 7919) & 0xFFFF));
+  }
+}
+BENCHMARK(BM_RcuArrayReadEbr);
+
+// The same read routed through a 4-shard collection: the gap to
+// BM_RcuArrayReadEbr is the routing layer (arithmetic + two counters).
+void BM_ShardedCollectionReadEbr(benchmark::State& state) {
+  rcua::rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
+  rcua::svc::ShardedCollection<std::uint64_t, rcua::EbrPolicy> coll(
+      cluster, 1 << 16, {.shard_count = 4});
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(coll.read((i++ * 7919) & 0xFFFF));
+  }
+}
+BENCHMARK(BM_ShardedCollectionReadEbr);
 
 void BM_UnsafeArrayIndex(benchmark::State& state) {
   rcua::rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});

@@ -53,10 +53,11 @@ COMM_COUNTERS = ("gets", "puts", "executes",
                  "stalled_spines", "defers",
                  "pending_end", "pending_after_flush",
                  # Sharded service layer (bench_ablation_sharding):
-                 # routing is block-cyclic arithmetic + an RCU map read
-                 # and migration traffic is a pure function of the block
-                 # layout, so all of these are exact-match.
-                 "routed", "routed_remote", "remaps",
+                 # routing is block-cyclic arithmetic against each
+                 # shard's own home and migration traffic is a pure
+                 # function of the block layout, so all of these are
+                 # exact-match.
+                 "routed", "routed_remote",
                  "migrations", "migrated_blocks")
 
 RETRY_FACTOR = 10

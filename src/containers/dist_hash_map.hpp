@@ -33,7 +33,7 @@ namespace rcua::cont {
 /// `Backend` is the storage engine for the slab: RCUArray (default) or
 /// svc::ShardedCollection, which makes the map a shard client — chains
 /// still address slots by index, and the sharded backend's block-cyclic
-/// routing keeps those indices stable across remaps and migrations for
+/// routing keeps those indices stable across migrations for
 /// the same reason Lemma 6 keeps them stable across resizes.
 template <typename K, typename V, typename Policy = QsbrPolicy,
           template <typename, typename> class Backend = RCUArray>
@@ -267,12 +267,6 @@ class DistHashMap {
   std::mutex grow_mu_;
   std::mutex recycle_mu_;
   std::vector<std::size_t> recycled_;
-
- public:
-  /// The backing slab — exposed so shard-client tests can drive the
-  /// sharded backend's remap surface directly (callers bind it with
-  /// `auto&`; the slot type is an implementation detail).
-  [[nodiscard]] Backend<Slot, Policy>& backing() noexcept { return slots_; }
 };
 
 }  // namespace rcua::cont

@@ -23,9 +23,9 @@ namespace rcua::cont {
 /// free list for recycled ids.
 ///
 /// `Backend` is the storage engine: RCUArray (default) or
-/// svc::ShardedCollection — ids stay stable across shard remaps and
-/// migrations because the sharded backend routes by index arithmetic
-/// and only re-homes storage, never renumbers it.
+/// svc::ShardedCollection — ids stay stable across shard migrations
+/// because the sharded backend routes by index arithmetic and only
+/// re-homes storage, never renumbers it.
 template <typename V, typename Policy = QsbrPolicy,
           template <typename, typename> class Backend = RCUArray>
 class DistIdTable {
@@ -80,8 +80,8 @@ class DistIdTable {
 
   /// Value lookup: the migration-safe twin of get(). The copy happens
   /// inside the backend's read-side section, so it is safe concurrent
-  /// with shard remaps AND live migrations (rehome reclaims replaced
-  /// blocks; escaped references don't survive that, values do).
+  /// with live shard migrations (rehome reclaims replaced blocks;
+  /// escaped references don't survive that, values do).
   V read(std::size_t id) {
     if (arr_.capacity() <= id) {
       plat::Backoff backoff(4);

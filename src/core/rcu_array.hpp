@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -154,8 +155,8 @@ class RCUArray {
         write_lock_(cluster, /*owner_locale=*/0),
         pid_(cluster.privatization().create()) {
     if (block_size_ == 0) throw std::invalid_argument("block_size == 0");
-    if (home_locale_ != Options::kNoHomeLocale &&
-        home_locale_ >= cluster.num_locales()) {
+    if (options.home_locale != Options::kNoHomeLocale &&
+        options.home_locale >= cluster.num_locales()) {
       throw std::invalid_argument("home_locale >= num_locales");
     }
     const reclaim::DomainOptions domain_opts{.qsbr = options.qsbr,
@@ -267,26 +268,21 @@ class RCUArray {
     obs::TraceSpan resize_span("rcua.resize_add", "rcua", nblocks);
 
     std::vector<Block<T>*> new_blocks;  // line 9
-    new_blocks.reserve(nblocks);
     std::lock_guard<rt::GlobalLock> lock(write_lock_);  // lines 10 and 29
     const std::uint32_t here = cluster_.here();
     std::uint32_t loc = priv().next_locale_id;  // line 11
-    // Allocate and distribute new blocks (lines 12-16), pipelined: each
-    // remote `on Locales[locId]` allocation is issued asynchronously so
-    // its launch latency overlaps with the other allocations (and same-
-    // locale allocations run inline), instead of paying one full
-    // round-trip per block. All futures are collected before the
-    // broadcast below, preserving the round-robin block order.
+    // Allocate and distribute new blocks (lines 12-16), pipelined (see
+    // alloc_blocks), preserving the round-robin block order.
     {
-      rt::AsyncComm async(cluster_.comm(), here);
-      std::vector<rt::future<Block<T>*>> pending;
-      pending.reserve(nblocks);
-      const bool pinned = home_locale_ != Options::kNoHomeLocale;
+      std::vector<std::uint32_t> targets(nblocks);
+      const std::uint32_t home = home_locale();
+      const bool pinned = home != Options::kNoHomeLocale;
       for (std::size_t k = 0; k < nblocks; ++k) {
-        pending.push_back(alloc_block(async, pinned ? home_locale_ : loc));
+        targets[k] = pinned ? home : loc;
         if (!pinned) loc = (loc + 1) % cluster_.num_locales();
       }
-      for (auto& f : pending) new_blocks.push_back(f.get());
+      rt::AsyncComm async(cluster_.comm(), here);
+      new_blocks = alloc_blocks(async, targets);
     }
     const std::uint32_t final_loc = loc;
 
@@ -426,8 +422,8 @@ class RCUArray {
   /// references across a migration of this array. Element WRITES
   /// concurrent with the copy phase may land in a replaced block after
   /// its contents were copied and be lost — structural writers must
-  /// serialize against migration (ShardedCollection's remap lock does)
-  /// or tolerate last-writer-wins. Returns true when the migration
+  /// serialize against migration (ShardedCollection's migration lock
+  /// does) or tolerate last-writer-wins. Returns true when the migration
   /// published, false on a fault-injected rollback.
   bool rehome(std::uint32_t dst) {
     if (dst >= cluster_.num_locales()) {
@@ -446,7 +442,7 @@ class RCUArray {
       if (old_blocks[i]->owner() != dst) moved.push_back(i);
     }
     if (moved.empty()) {
-      home_locale_ = dst;
+      home_locale_.store(dst, std::memory_order_relaxed);
       return true;
     }
 
@@ -454,13 +450,10 @@ class RCUArray {
     std::vector<Block<T>*> fresh(old_blocks);
     rt::AsyncComm async(cluster_.comm(), here);
     {
-      std::vector<rt::future<Block<T>*>> allocs;
-      allocs.reserve(moved.size());
+      const std::vector<Block<T>*> allocs =
+          alloc_blocks(async, std::vector<std::uint32_t>(moved.size(), dst));
       for (std::size_t k = 0; k < moved.size(); ++k) {
-        allocs.push_back(alloc_block(async, dst));
-      }
-      for (std::size_t k = 0; k < moved.size(); ++k) {
-        fresh[moved[k]] = allocs[k].get();
+        fresh[moved[k]] = allocs[k];
       }
     }
     std::vector<rt::future<void>> copies;
@@ -551,15 +544,17 @@ class RCUArray {
       p.domain.defer_free(retired[l]);
     });
     if (!freed_early) free_blocks(replaced, "rcua.rehome.free_block");
-    home_locale_ = dst;
+    home_locale_.store(dst, std::memory_order_relaxed);
     rehomes_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
 
   /// This array's pinned home locale (Options::home_locale, updated by
   /// rehome); Options::kNoHomeLocale when blocks distribute round-robin.
+  /// Relaxed: routers read it concurrently with rehome() only for
+  /// placement metrics, never to find a block.
   [[nodiscard]] std::uint32_t home_locale() const noexcept {
-    return home_locale_;
+    return home_locale_.load(std::memory_order_relaxed);
   }
   /// Completed rehome() migrations.
   [[nodiscard]] std::uint64_t rehomes() const noexcept {
@@ -869,15 +864,44 @@ class RCUArray {
     return sizeof(Snapshot<T>) + s.num_blocks() * sizeof(Block<T>*);
   }
 
-  /// Allocates one block on `target` through `async` (`on
-  /// Locales[target]`; same-locale allocations run inline).
-  rt::future<Block<T>*> alloc_block(rt::AsyncComm& async,
-                                    std::uint32_t target) {
-    return async.execute(target, /*weight=*/0, [this, target]() {
-      Block<T>* b = new Block<T>(cluster_.locale(target), block_size_);
-      sim::charge(sim::CostModel::get().alloc_block_ns);
-      return b;
-    });
+  /// Allocates one block on each of `targets` through `async` (`on
+  /// Locales[target]`), pipelined: each remote allocation is issued
+  /// asynchronously so its launch latency overlaps with the others, and
+  /// same-locale allocations run inline. All or nothing: an allocation
+  /// that throws is caught inside its closure, every future is still
+  /// drained, the blocks that did allocate are freed, and the first
+  /// exception is rethrown — so a failed grow leaks no block, whether it
+  /// was collected before the failure or still in flight after it.
+  std::vector<Block<T>*> alloc_blocks(
+      rt::AsyncComm& async, const std::vector<std::uint32_t>& targets) {
+    std::exception_ptr failure;
+    std::vector<rt::future<Block<T>*>> pending;
+    pending.reserve(targets.size());
+    for (const std::uint32_t target : targets) {
+      pending.push_back(async.execute(
+          target, /*weight=*/0, [this, target, &failure]() -> Block<T>* {
+            try {
+              auto* b = new Block<T>(cluster_.locale(target), block_size_);
+              sim::charge(sim::CostModel::get().alloc_block_ns);
+              return b;
+            } catch (...) {
+              if (!failure) failure = std::current_exception();
+              return nullptr;
+            }
+          }));
+    }
+    std::vector<Block<T>*> blocks;
+    blocks.reserve(targets.size());
+    for (auto& f : pending) blocks.push_back(f.get());
+    if (failure) {
+      for (Block<T>* b : blocks) {
+        if (b == nullptr) continue;
+        cluster_.locale(b->owner()).note_free(b->capacity() * sizeof(T));
+        delete b;
+      }
+      std::rethrow_exception(failure);
+    }
+    return blocks;
   }
 
   /// Sched/trace sites of one structural op's publish step.
@@ -1263,7 +1287,7 @@ class RCUArray {
   reclaim::StallMonitor* monitor_;
   std::uint32_t max_publish_attempts_;
   std::size_t cache_capacity_;
-  std::uint32_t home_locale_;
+  std::atomic<std::uint32_t> home_locale_;
   rt::GlobalLock write_lock_;
   int pid_;
   std::atomic<std::uint64_t> resizes_{0};

@@ -16,14 +16,18 @@ bool oversubscribed(std::uint32_t desired) noexcept {
   return desired > hardware_threads();
 }
 
-std::size_t stripe_index(std::size_t num_stripes) noexcept {
-  // std::this_thread::get_id() is pthread_self() underneath — a register
-  // read, not TLS machinery — and is stable for the thread's lifetime.
-  // Its raw value is pointer-like (aligned), so mix before masking.
+namespace detail {
+
+std::uint64_t compute_thread_hash() noexcept {
+  // std::this_thread::get_id() is pthread_self() underneath and is
+  // stable for the thread's lifetime. Its raw value is pointer-like
+  // (aligned), so mix before masking.
   const std::size_t raw =
       std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return static_cast<std::size_t>(mix64(static_cast<std::uint64_t>(raw))) &
-         (num_stripes - 1);
+  tl_thread_hash = mix64(static_cast<std::uint64_t>(raw));
+  return tl_thread_hash;
 }
+
+}  // namespace detail
 
 }  // namespace rcua::plat

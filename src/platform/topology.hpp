@@ -14,11 +14,23 @@ std::uint32_t hardware_threads() noexcept;
 /// to decide how aggressively to yield.
 bool oversubscribed(std::uint32_t desired) noexcept;
 
-/// TLS-free stripe selector for per-core counter banks: hashes the calling
-/// thread's identity (one TCB register read plus a mix, no thread_local
-/// slot and no syscall) into [0, num_stripes). A thread therefore always
+namespace detail {
+/// The calling thread's mixed identity hash; 0 until first computed.
+inline thread_local constinit std::uint64_t tl_thread_hash = 0;
+/// Hashes the calling thread's identity into tl_thread_hash and returns it.
+std::uint64_t compute_thread_hash() noexcept;
+}  // namespace detail
+
+/// Stripe selector for per-core counter banks: the calling thread's
+/// identity, hashed and mixed once per thread and cached in a
+/// thread_local, masked into [0, num_stripes). A thread therefore always
 /// lands on the same stripe, which is what keeps the stripe's cache line
-/// resident in that core's cache. `num_stripes` must be a power of two.
-std::size_t stripe_index(std::size_t num_stripes) noexcept;
+/// resident in that core's cache; after the first call a selection is
+/// one TLS load and a mask. `num_stripes` must be a power of two.
+inline std::size_t stripe_index(std::size_t num_stripes) noexcept {
+  std::uint64_t h = detail::tl_thread_hash;
+  if (h == 0) [[unlikely]] h = detail::compute_thread_hash();
+  return static_cast<std::size_t>(h) & (num_stripes - 1);
+}
 
 }  // namespace rcua::plat

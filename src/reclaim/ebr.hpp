@@ -86,12 +86,14 @@ struct LegacyReaders {
 /// parameter: tests instantiate `BasicEbr<std::uint8_t>` and drive it
 /// through wrap-around for real.
 ///
-/// Striping (DEBRA's observation, kept TLS-free): the paper attributes
-/// EBR's collapse to every reader on a locale hammering the same two
-/// cache lines with seq_cst RMWs. Hashing each reader onto its own
-/// padded slot makes the announce/retract RMWs almost-always
-/// uncontended; summing a column preserves the drain condition because a
-/// reader only ever announces and retracts on one slot. Memory ordering:
+/// Striping (DEBRA's observation, still without per-thread
+/// registration): the paper attributes EBR's collapse to every reader on
+/// a locale hammering the same two cache lines with seq_cst RMWs.
+/// Hashing each reader onto its own padded slot (plat::stripe_index: the
+/// thread's identity, hashed once and cached in a thread_local) makes
+/// the announce/retract RMWs almost-always uncontended; summing a column
+/// preserves the drain condition because a reader only ever announces
+/// and retracts on one slot. Memory ordering:
 /// the announce/retract RMWs are acq_rel, the epoch load/verify stays
 /// seq_cst, and `advance_epoch` issues a seq_cst fence after the bump —
 /// the line-13 argument needs only that a reader whose verify load saw

@@ -14,17 +14,15 @@
 #include "core/rcu_array.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "service/shard_map.hpp"
 #include "util/env.hpp"
 
 namespace rcua::svc {
 
 /// The elastic sharded-service layer (DESIGN.md §14): key ranges map
-/// onto RCUArray-backed shards, with the shard-mapping table itself an
-/// RCU-published snapshot (ShardMap). A ShardedCollection is a drop-in
-/// backend for the containers (same constructor shape and method subset
-/// as RCUArray), so DistVector / DistHashMap / DistIdTable become shard
-/// clients by swapping one template argument.
+/// onto RCUArray-backed shards by pure arithmetic. A ShardedCollection
+/// is a drop-in backend for the containers (same constructor shape and
+/// method subset as RCUArray), so DistVector / DistHashMap /
+/// DistIdTable become shard clients by swapping one template argument.
 ///
 /// Layout: global block g lives in shard `g % shard_count` at local
 /// block `g / shard_count` (block-cyclic), so growth lands one block per
@@ -32,18 +30,17 @@ namespace rcua::svc {
 /// Each shard is an RCUArray pinned to a single home locale
 /// (Options::home_locale), which is what makes live migration a
 /// wholesale move: `migrate(shard, dst)` copies the shard's blocks to
-/// `dst` through the §10 async comm path (RCUArray::rehome), publishes a
-/// new ShardMap, and frees the old table through the policy's
-/// reclamation domain once its readers drain. Routing a read is an RCU
-/// read of the mapping — stale routes are safe because map entries are
-/// locale ids (values), not pointers (see ShardMap).
+/// `dst` through the §10 async comm path (RCUArray::rehome), which also
+/// updates the shard's home. There is no mapping table: the shard a key
+/// lives in never changes, and the shard's own spine is what resolves
+/// its blocks from any locale, so an element op enters exactly one
+/// read-side section — the shard's. The home locale is consulted only
+/// for the `routed_remote` metric and home_of().
 ///
-/// Ordering rule (§14): migrate -> invalidate -> drain. rehome() owns
-/// copy-before-publish and the BlockCache invalidation interlock; the
-/// map publication here follows the same resize-style protocol as a
-/// spine swap. The remap lock serializes migrations against structural
-/// growth (resize_add), which is the serialization the rehome copy
-/// phase's concurrency contract requires.
+/// Ordering rule (§14): migrate -> invalidate -> drain, all owned by
+/// rehome(). The migration lock serializes migrations against
+/// structural growth (resize_add), which is the serialization the
+/// rehome copy phase's concurrency contract requires.
 template <typename T, typename Policy = QsbrPolicy>
 class ShardedCollection {
  public:
@@ -71,12 +68,10 @@ class ShardedCollection {
       : cluster_(cluster),
         block_size_(options.block_size),
         shard_count_(resolve_shard_count(options.shard_count, cluster)),
-        pid_(cluster.privatization().create()),
         routed_(cluster.comm().registry().counter("rcua.service.routed",
                                                   cluster.num_locales())),
         routed_remote_(cluster.comm().registry().counter(
             "rcua.service.routed_remote", cluster.num_locales())),
-        remaps_(cluster.comm().registry().counter("rcua.service.remaps")),
         migrations_(
             cluster.comm().registry().counter("rcua.service.migrations")),
         migration_rollbacks_(cluster.comm().registry().counter(
@@ -87,45 +82,26 @@ class ShardedCollection {
             "rcua.service.migrated_bytes")) {
     if (block_size_ == 0) throw std::invalid_argument("block_size == 0");
     if (shard_count_ == 0) throw std::invalid_argument("shard_count == 0");
-    // Initial placement: shard s homed on locale s % num_locales — the
-    // balanced block-cyclic start the PressureMonitor perturbs from.
-    std::vector<std::uint32_t> home(shard_count_);
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-      home[s] = static_cast<std::uint32_t>(s % cluster.num_locales());
-    }
     shards_.reserve(shard_count_);
     for (std::size_t s = 0; s < shard_count_; ++s) {
       typename Backend::Options shard_opts;
       shard_opts.block_size = block_size_;
       shard_opts.qsbr = options.qsbr;
       shard_opts.cache_capacity_bytes = options.cache_capacity_bytes;
-      shard_opts.home_locale = home[s];
+      // Initial placement: shard s homed on locale s % num_locales — the
+      // balanced block-cyclic start the PressureMonitor perturbs from.
+      shard_opts.home_locale =
+          static_cast<std::uint32_t>(s % cluster.num_locales());
       shards_.push_back(std::make_unique<Backend>(cluster, /*capacity=*/0,
                                                   shard_opts));
     }
-    cluster_.coforall_locales([&](std::uint32_t l) {
-      auto* p = new PerLocale(cluster_.locale(l),
-                              reclaim::DomainOptions{.qsbr = options.qsbr});
-      p->map.store(new ShardMap(home), std::memory_order_relaxed);
-      cluster_.privatization().set(pid_, l, p);
-    });
     if (initial_capacity > 0) resize_add(initial_capacity);
-  }
-
-  ~ShardedCollection() {
-    // Same contract as RCUArray: external quiescence at destruction.
-    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
-      PerLocale* p = &priv_at(l);
-      delete p->map.load(std::memory_order_acquire);
-      delete p;
-    }
-    cluster_.privatization().destroy(pid_);
   }
 
   ShardedCollection(const ShardedCollection&) = delete;
   ShardedCollection& operator=(const ShardedCollection&) = delete;
 
-  // -- Element access (routing read = RCU map read + shard op) ----------
+  // -- Element access (arithmetic route + one shard op) -----------------
 
   T& index(std::size_t i) {
     const Route r = route(i);
@@ -190,13 +166,13 @@ class ShardedCollection {
 
   /// Grows total capacity by ceil(num_elements / block_size) blocks,
   /// dealt block-cyclically across the shards. Serialized with
-  /// migrations by the remap lock (each shard's resize_add additionally
-  /// takes the cluster WriteLock, like any RCUArray resize).
+  /// migrations by the migration lock (each shard's resize_add
+  /// additionally takes the cluster WriteLock, like any RCUArray resize).
   void resize_add(std::size_t num_elements) {
     const std::size_t nblocks =
         (num_elements + block_size_ - 1) / block_size_;
     if (nblocks == 0) return;
-    std::lock_guard<std::mutex> guard(remap_mu_);
+    std::lock_guard<std::mutex> guard(migrate_mu_);
     const std::size_t base = total_blocks_.load(std::memory_order_relaxed);
     std::vector<std::size_t> grow(shard_count_, 0);
     for (std::size_t k = 0; k < nblocks; ++k) {
@@ -212,41 +188,28 @@ class ShardedCollection {
 
   // -- Live migration ----------------------------------------------------
 
-  /// Moves shard `shard` to locale `dst`: block copy + spine swap via
-  /// RCUArray::rehome (which owns copy-before-publish, the BlockCache
-  /// invalidation interlock, and the reader drain), then the ShardMap
-  /// publication below. Returns false when a FaultPlan kKillLocale fault
-  /// rolled the copy back — the old mapping stays live and no element
-  /// was lost or duplicated.
+  /// Moves shard `shard` to locale `dst`: block copy, spine swap and
+  /// home update via RCUArray::rehome (which owns copy-before-publish,
+  /// the BlockCache invalidation interlock, and the reader drain).
+  /// Returns false when a FaultPlan kKillLocale fault rolled the copy
+  /// back — the old blocks and home stay live and no element was lost or
+  /// duplicated.
   bool migrate(std::size_t shard, std::uint32_t dst) {
     if (shard >= shard_count_) {
       throw std::invalid_argument("migrate: shard out of range");
     }
     obs::TraceSpan span("svc.migrate", "service", dst);
-    std::lock_guard<std::mutex> guard(remap_mu_);
+    std::lock_guard<std::mutex> guard(migrate_mu_);
     Backend& b = *shards_[shard];
     const std::size_t blocks = b.num_blocks();
     if (!b.rehome(dst)) {
       migration_rollbacks_.add();
       return false;
     }
-    publish_map(shard, dst);
     migrations_.add();
     migrated_blocks_.add(blocks);
     migrated_bytes_.add(blocks * block_size_ * sizeof(T));
     return true;
-  }
-
-  /// Publishes a new ShardMap with shard -> dst WITHOUT moving blocks —
-  /// the pure remap (a resize-style publication of the mapping table).
-  /// migrate() calls this after the copy lands; it is public so tests
-  /// can exercise remap-concurrent-with-lookup in isolation.
-  void remap(std::size_t shard, std::uint32_t dst) {
-    if (shard >= shard_count_) {
-      throw std::invalid_argument("remap: shard out of range");
-    }
-    std::lock_guard<std::mutex> guard(remap_mu_);
-    publish_map(shard, dst);
   }
 
   // -- Introspection -----------------------------------------------------
@@ -269,23 +232,16 @@ class ShardedCollection {
   }
   /// The underlying shard (tests, PressureMonitor).
   [[nodiscard]] Backend& shard(std::size_t s) { return *shards_[s]; }
-  /// Routing read of shard `s`'s home in the calling locale's current
-  /// mapping (an RCU read of the privatized table).
-  [[nodiscard]] std::uint32_t home_of(std::size_t s) {
-    return read_map([&](const ShardMap& m) { return m.home(s); });
-  }
-  /// Version of the calling locale's current mapping table.
-  [[nodiscard]] std::uint64_t map_version() {
-    return read_map([](const ShardMap& m) { return m.version(); });
+  /// Shard `s`'s current home locale (the shard's own, updated by a
+  /// completed migrate()).
+  [[nodiscard]] std::uint32_t home_of(std::size_t s) const {
+    return shards_[s]->home_locale();
   }
   [[nodiscard]] std::uint64_t migrations() const noexcept {
     return migrations_.value();
   }
   [[nodiscard]] std::uint64_t migration_rollbacks() const noexcept {
     return migration_rollbacks_.value();
-  }
-  [[nodiscard]] std::uint64_t remaps() const noexcept {
-    return remaps_.value();
   }
   [[nodiscard]] std::uint64_t migrated_blocks() const noexcept {
     return migrated_blocks_.value();
@@ -299,15 +255,6 @@ class ShardedCollection {
   [[nodiscard]] rt::Cluster& cluster() noexcept { return cluster_; }
 
  private:
-  struct alignas(plat::kCacheLine) PerLocale {
-    PerLocale(rt::Locale& locale, const reclaim::DomainOptions& opts)
-        : domain(locale, opts) {}
-    std::atomic<ShardMap*> map{nullptr};
-    /// The mapping table's own reclamation domain, same policy as the
-    /// shards' spines.
-    typename Policy::Domain domain;
-  };
-
   struct Route {
     std::size_t shard;
     std::size_t local;
@@ -320,27 +267,10 @@ class ShardedCollection {
         util::env_u64("RCUA_SHARD_COUNT", cluster.num_locales()));
   }
 
-  [[nodiscard]] PerLocale& priv() const { return priv_at(cluster_.here()); }
-  [[nodiscard]] PerLocale& priv_at(std::uint32_t locale) const {
-    auto* p =
-        static_cast<PerLocale*>(cluster_.privatization().get(pid_, locale));
-    assert(p != nullptr);
-    return *p;
-  }
-
-  /// The RCU read of the mapping table: pins the calling locale's table
-  /// in its domain (the same pin RCUArray reads its spine through), runs
-  /// `fn` against it, and releases. `fn` must not escape pointers into
-  /// the table — locale ids are values, copy them out.
-  template <typename F>
-  auto read_map(F&& fn) {
-    PerLocale& p = priv();
-    return fn(*p.domain.pin(p.map));
-  }
-
   /// Block-cyclic routing + the routing metrics: one routed count per
-  /// element op, routed_remote when the mapping says the shard's home is
-  /// not the calling locale.
+  /// element op, routed_remote when the shard's home is not the calling
+  /// locale. Pure arithmetic plus one relaxed load of the home: no
+  /// read-side section of its own.
   Route route(std::size_t i) {
     const std::size_t g = i / block_size_;
     const std::size_t shard = g % shard_count_;
@@ -348,9 +278,7 @@ class ShardedCollection {
         (g / shard_count_) * block_size_ + (i % block_size_);
     const std::uint32_t here = cluster_.here();
     routed_.add_at(here);
-    const std::uint32_t home =
-        read_map([&](const ShardMap& m) { return m.home(shard); });
-    if (home != here) routed_remote_.add_at(here);
+    if (shards_[shard]->home_locale() != here) routed_remote_.add_at(here);
     return Route{shard, local};
   }
 
@@ -377,39 +305,15 @@ class ShardedCollection {
     }
   }
 
-  /// The resize-style mapping publication: per locale, clone the table
-  /// with the shard re-homed, swap, and free the old table once that
-  /// locale's routing readers drain. The drain is BLOCKING under every
-  /// policy but QSBR (like resize_remove): tables are a few dozen bytes
-  /// and remaps are rare, so a bounded wait beats threading the
-  /// overflow machinery through a second object type. Caller holds
-  /// remap_mu_.
-  void publish_map(std::size_t shard, std::uint32_t dst) {
-    cluster_.coforall_locales([&](std::uint32_t l) {
-      PerLocale& p = priv_at(l);
-      ShardMap* old = p.map.load(std::memory_order_relaxed);
-      ShardMap* fresh = ShardMap::clone_set(*old, shard, dst);
-      RCUA_SCHED_POINT("svc.remap.publish");
-      p.map.store(fresh, std::memory_order_release);
-      RCUA_SCHED_POINT("svc.remap.published");
-      obs::trace_instant("svc.remap.publish", "service", l);
-      p.domain.fence_drain();
-      p.domain.defer_free(old);
-    });
-    remaps_.add();
-  }
-
   rt::Cluster& cluster_;
   std::size_t block_size_;
   std::size_t shard_count_;
-  int pid_;
   std::vector<std::unique_ptr<Backend>> shards_;
   std::atomic<std::size_t> total_blocks_{0};
-  /// Serializes migrations, remaps and collection-level growth.
-  std::mutex remap_mu_;
+  /// Serializes migrations and collection-level growth.
+  std::mutex migrate_mu_;
   obs::Counter& routed_;
   obs::Counter& routed_remote_;
-  obs::Counter& remaps_;
   obs::Counter& migrations_;
   obs::Counter& migration_rollbacks_;
   obs::Counter& migrated_blocks_;

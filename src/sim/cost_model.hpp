@@ -95,10 +95,19 @@ struct CostModel {
   /// Loads RCUA_COST_* overrides from the environment.
   void load_env();
 
-  /// The process-wide instance (mutable for tests and calibration).
-  static CostModel& mutable_instance();
+  /// The process-wide instance (mutable for tests and calibration),
+  /// loaded from the environment on first use. Inline, like the charge
+  /// sites that read it: after the first call, one guard check.
+  static CostModel& mutable_instance() {
+    static CostModel model = [] {
+      CostModel m;
+      m.load_env();
+      return m;
+    }();
+    return model;
+  }
   /// Read-only accessor used by charge sites.
-  static const CostModel& get();
+  static const CostModel& get() { return mutable_instance(); }
 };
 
 /// RAII guard that saves and restores the global cost model; used by tests

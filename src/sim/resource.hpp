@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "platform/align.hpp"
+#include "sim/task_clock.hpp"
 
 namespace rcua::sim {
 
@@ -52,7 +53,9 @@ class VirtualResource {
 
   /// Charges the calling task's clock for one queued use of this resource.
   /// No-op when no virtual clock is attached.
-  void use(double service_ns) noexcept;
+  void use(double service_ns) noexcept {
+    if (TaskClock* c = current()) use_slow(*c, service_ns);
+  }
 
   /// Ownership-aware use, modelling a contended atomic's cache line: if
   /// the calling task was also the previous user, the line is still in its
@@ -61,7 +64,9 @@ class VirtualResource {
   /// task therefore pays near-uncontended cost while N alternating tasks
   /// serialize at 1/contended_ns — the regime split behind the paper's
   /// EBR results. No-op when no virtual clock is attached.
-  void use_owned(double contended_ns, double owned_ns) noexcept;
+  void use_owned(double contended_ns, double owned_ns) noexcept {
+    if (TaskClock* c = current()) use_owned_slow(*c, contended_ns, owned_ns);
+  }
 
   /// Extends the busy period to at least `t` (lock release: the critical
   /// section occupied the resource until the holder's current time).
@@ -84,6 +89,10 @@ class VirtualResource {
   }
 
  private:
+  void use_slow(TaskClock& c, double service_ns) noexcept;
+  void use_owned_slow(TaskClock& c, double contended_ns,
+                      double owned_ns) noexcept;
+
   plat::CacheAligned<std::atomic<std::uint64_t>> next_free_{0ULL};
   plat::CacheAligned<std::atomic<std::uint64_t>> owner_{0ULL};
 };

@@ -29,21 +29,44 @@ struct TaskClock {
   }
 };
 
+namespace detail {
+/// The clock attached to the calling thread (ClockScope), or nullptr.
+inline thread_local constinit TaskClock* tl_clock = nullptr;
+void touch_block_slow(TaskClock& c, std::uint64_t block_id, bool remote,
+                      bool is_write, double extra_on_miss_ns) noexcept;
+}  // namespace detail
+
+// The no-clock checks below are inline: every element op passes through
+// several of them, and uninstrumented (wall-clock) runs should pay one
+// TLS load and a predicted branch for each, not a call.
+
 /// True when a virtual clock is attached to the calling thread.
-bool enabled() noexcept;
+inline bool enabled() noexcept { return detail::tl_clock != nullptr; }
 
 /// The attached clock, or nullptr.
-TaskClock* current() noexcept;
+inline TaskClock* current() noexcept { return detail::tl_clock; }
 
 /// Adds `ns` virtual nanoseconds to the attached clock; no-op when none.
-void charge(double ns) noexcept;
+inline void charge(double ns) noexcept {
+  if (TaskClock* c = detail::tl_clock) {
+    c->vtime_ns += static_cast<std::uint64_t>(ns);
+    ++c->charge_events;
+  }
+}
 
 /// Current virtual time of the attached clock (0 when none).
-std::uint64_t now_v() noexcept;
+inline std::uint64_t now_v() noexcept {
+  const TaskClock* c = detail::tl_clock;
+  return c != nullptr ? c->vtime_ns : 0;
+}
 
 /// Advances the attached clock to at least `t` (used by resources when a
 /// queued acquisition completes later than the task's own time).
-void advance_to(std::uint64_t t) noexcept;
+inline void advance_to(std::uint64_t t) noexcept {
+  if (TaskClock* c = detail::tl_clock) {
+    if (t > c->vtime_ns) c->vtime_ns = t;
+  }
+}
 
 /// Models one element access to a data block.
 ///
@@ -57,15 +80,22 @@ void advance_to(std::uint64_t t) noexcept;
 /// `extra_on_miss_ns` is added only on a block switch (e.g. RCUArray's
 /// snapshot-spine chain misses, which a hot loop over one block amortizes
 /// away).
-void touch_block(std::uint64_t block_id, bool remote, bool is_write,
-                 double extra_on_miss_ns = 0.0) noexcept;
+inline void touch_block(std::uint64_t block_id, bool remote, bool is_write,
+                        double extra_on_miss_ns = 0.0) noexcept {
+  if (TaskClock* c = detail::tl_clock) {
+    detail::touch_block_slow(*c, block_id, remote, is_write,
+                             extra_on_miss_ns);
+  }
+}
 
 /// RAII attachment of a clock to the calling thread. Nests (restores the
 /// previous clock on destruction).
 class ClockScope {
  public:
-  explicit ClockScope(TaskClock& clock) noexcept;
-  ~ClockScope();
+  explicit ClockScope(TaskClock& clock) noexcept : prev_(detail::tl_clock) {
+    detail::tl_clock = &clock;
+  }
+  ~ClockScope() { detail::tl_clock = prev_; }
   ClockScope(const ClockScope&) = delete;
   ClockScope& operator=(const ClockScope&) = delete;
 

@@ -233,12 +233,14 @@ TEST(RcuArrayQsbr, ResizeDefersOldSpines) {
 
 namespace {
 
-/// An element whose construction throws on demand: the first
-/// allocation of a grow fails like a bad_alloc would.
+/// An element whose construction throws on demand, so a block
+/// allocation fails like a bad_alloc would: `budget` constructions still
+/// succeed, the next one throws; -1 never throws.
 struct ThrowingElem {
-  static inline bool fail = false;
+  static inline long budget = -1;
   ThrowingElem() {
-    if (fail) throw std::runtime_error("element construction failed");
+    if (budget == 0) throw std::runtime_error("element construction failed");
+    if (budget > 0) --budget;
   }
   std::uint64_t value = 0;
 };
@@ -249,12 +251,37 @@ TEST(RcuArrayEbr, FailedResizeReleasesWriteLock) {
   rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
   RCUArray<ThrowingElem, EbrPolicy> arr(cluster, 0, {.block_size = 8});
   // A one-block grow: the throw comes before any block exists.
-  ThrowingElem::fail = true;
+  ThrowingElem::budget = 0;
   EXPECT_THROW(arr.resize_add(8), std::runtime_error);
-  ThrowingElem::fail = false;
+  ThrowingElem::budget = -1;
   // A leaked write lock would make the next resize_add hang forever.
   ASSERT_TRUE(arr.write_lock().try_lock());
   arr.write_lock().unlock();
   arr.resize_add(8);
   EXPECT_EQ(arr.capacity(), 8u);
+}
+
+TEST(RcuArrayEbr, FailedMultiBlockResizeFreesAllocatedBlocks) {
+  constexpr std::size_t kBlock = 8;
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+  RCUArray<ThrowingElem, EbrPolicy> arr(cluster, 0, {.block_size = kBlock});
+  // A 3-block grow deals its blocks alternately to both locales: the
+  // local ones allocate inline at issue, the remote one(s) when their
+  // futures are collected. Fail each block in turn, so blocks that
+  // allocated before the failure and blocks still pending after it are
+  // both covered.
+  for (std::size_t k = 0; k < 3; ++k) {
+    const std::uint64_t live0 = cluster.locale(0).bytes_live();
+    const std::uint64_t live1 = cluster.locale(1).bytes_live();
+    ThrowingElem::budget = static_cast<long>(k * kBlock) + 1;
+    EXPECT_THROW(arr.resize_add(3 * kBlock), std::runtime_error)
+        << "block " << k;
+    ThrowingElem::budget = -1;
+    EXPECT_EQ(cluster.locale(0).bytes_live(), live0) << "block " << k;
+    EXPECT_EQ(cluster.locale(1).bytes_live(), live1) << "block " << k;
+    EXPECT_EQ(arr.capacity(), k * 3 * kBlock);
+    // The failed grow published nothing; the next one goes through.
+    arr.resize_add(3 * kBlock);
+    EXPECT_EQ(arr.capacity(), (k + 1) * 3 * kBlock);
+  }
 }

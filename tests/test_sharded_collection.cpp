@@ -1,6 +1,6 @@
 // Functional tests for the sharded service layer (DESIGN.md §14):
-// block-cyclic routing, growth dealt across shards, RCU-published
-// mapping-table remaps, live migration through RCUArray::rehome, the
+// block-cyclic routing, growth dealt across shards, the routing metrics
+// following a shard's home, live migration through RCUArray::rehome, the
 // PressureMonitor rebalancing policy, and the chaos scenario — a
 // FaultPlan kills the destination locale mid-migration and the move
 // must roll back with no lost or duplicated elements.
@@ -41,26 +41,19 @@ void drain_qsbr() { rcua::reclaim::Qsbr::global().flush_unsafe(); }
 }  // namespace
 
 TYPED_TEST(ShardedTyped, ConstructionAndInitialPlacement) {
-  const std::uint64_t maps_before = svc::ShardMap::live_count();
-  {
-    rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
-    typename TestFixture::Coll coll(cluster, 0,
-                                    {.block_size = 64, .shard_count = 4});
-    EXPECT_EQ(coll.shard_count(), 4u);
-    EXPECT_EQ(coll.block_size(), 64u);
-    EXPECT_EQ(coll.capacity(), 0u);
-    EXPECT_EQ(coll.num_blocks(), 0u);
-    EXPECT_EQ(coll.map_version(), 0u);
-    // Balanced block-cyclic start: shard s homed on locale s % L.
-    for (std::size_t s = 0; s < 4; ++s) {
-      EXPECT_EQ(coll.home_of(s), s % 2);
-      EXPECT_EQ(coll.shard(s).home_locale(), s % 2);
-    }
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
+  typename TestFixture::Coll coll(cluster, 0,
+                                  {.block_size = 64, .shard_count = 4});
+  EXPECT_EQ(coll.shard_count(), 4u);
+  EXPECT_EQ(coll.block_size(), 64u);
+  EXPECT_EQ(coll.capacity(), 0u);
+  EXPECT_EQ(coll.num_blocks(), 0u);
+  // Balanced block-cyclic start: shard s homed on locale s % L.
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(coll.home_of(s), s % 2);
+    EXPECT_EQ(coll.shard(s).home_locale(), s % 2);
   }
   drain_qsbr();
-  // The mapping tables are the Snapshot::live_count analog: one table
-  // per locale, all reclaimed by scope exit.
-  EXPECT_EQ(svc::ShardMap::live_count(), maps_before);
 }
 
 TYPED_TEST(ShardedTyped, InvalidOptionsThrow) {
@@ -152,27 +145,33 @@ TYPED_TEST(ShardedTyped, RoutingCountsElementOps) {
   drain_qsbr();
 }
 
-TYPED_TEST(ShardedTyped, RemapPublishesNewMappingTable) {
-  const std::uint64_t maps_before = svc::ShardMap::live_count();
-  {
-    rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
-    typename TestFixture::Coll coll(cluster, 4 * 32,
-                                    {.block_size = 32, .shard_count = 2});
-    for (std::size_t i = 0; i < coll.capacity(); ++i) coll.write(i, i + 9);
-    ASSERT_EQ(coll.home_of(0), 0u);
-    coll.remap(0, 1);
-    EXPECT_EQ(coll.home_of(0), 1u);
-    EXPECT_EQ(coll.map_version(), 1u);
-    EXPECT_EQ(coll.remaps(), 1u);
-    // A pure remap moves no data: every element still reads through the
-    // new route (stale or fresh, the route resolves the same blocks).
-    for (std::size_t i = 0; i < coll.capacity(); ++i) {
-      EXPECT_EQ(coll.read(i), i + 9);
-    }
-    EXPECT_THROW(coll.remap(2, 0), std::invalid_argument);
+TYPED_TEST(ShardedTyped, RoutedRemoteFollowsMigration) {
+  constexpr std::size_t kBlock = 32;
+  rt::Cluster cluster({.num_locales = 3, .workers_per_locale = 1});
+  typename TestFixture::Coll coll(cluster, 3 * kBlock,
+                                  {.block_size = kBlock,
+                                   .shard_count = 3,
+                                   .cache_capacity_bytes = 0});
+  // Global block 1 is shard 1's only block; shard 1 starts on locale 1.
+  constexpr std::size_t kShard = 1;
+  const std::size_t i = kShard * kBlock + 5;
+  ASSERT_TRUE(coll.migrate(kShard, 2));
+  for (std::size_t s = 0; s < coll.shard_count(); ++s) {
+    EXPECT_EQ(coll.home_of(s), coll.shard(s).home_locale());
+  }
+  EXPECT_EQ(coll.home_of(kShard), 2u);
+  // Two ops per locale: local to the new home, remote from the old home
+  // and from the bystander.
+  for (std::uint32_t l = 0; l < cluster.num_locales(); ++l) {
+    cluster.on(l, [&] {
+      const std::uint64_t before = coll.routed_remote();
+      coll.write(i, l);
+      EXPECT_EQ(coll.read(i), l);
+      EXPECT_EQ(coll.routed_remote() - before, l == 2 ? 0u : 2u)
+          << "ops issued from locale " << l;
+    });
   }
   drain_qsbr();
-  EXPECT_EQ(svc::ShardMap::live_count(), maps_before);
 }
 
 TYPED_TEST(ShardedTyped, MigratePreservesEveryElement) {
@@ -191,7 +190,6 @@ TYPED_TEST(ShardedTyped, MigratePreservesEveryElement) {
   EXPECT_EQ(coll.shard(0).rehomes(), 1u);
   EXPECT_EQ(coll.migrations(), 1u);
   EXPECT_EQ(coll.migration_rollbacks(), 0u);
-  EXPECT_EQ(coll.map_version(), 1u);
   // Element-exact survival: distinct values per index, so per-index
   // equality is the no-lost/no-duplicated check.
   for (std::size_t i = 0; i < coll.capacity(); ++i) {
@@ -286,10 +284,9 @@ TEST(ShardedChaos, LocaleKillMidMigrationRollsBackWithoutLoss) {
 
   EXPECT_FALSE(coll.migrate(0, 1)) << "seed " << seed;
 
-  // Rolled back: the old mapping is live, nothing was published.
+  // Rolled back: the old blocks and home are live, nothing was published.
   EXPECT_EQ(coll.home_of(0), 0u);
   EXPECT_EQ(coll.shard(0).home_locale(), 0u);
-  EXPECT_EQ(coll.map_version(), 0u);
   EXPECT_EQ(coll.migrations(), 0u);
   EXPECT_EQ(coll.migration_rollbacks(), 1u);
   EXPECT_EQ(coll.shard(0).rehome_rollbacks(), 1u);

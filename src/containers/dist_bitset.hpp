@@ -3,10 +3,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 
 #include "core/rcu_array.hpp"
-#include "platform/backoff.hpp"
 
 namespace rcua::cont {
 
@@ -36,21 +34,17 @@ class DistBitset {
 
   /// Sets bit `i` (growing if needed); returns the previous value.
   bool set(std::size_t i) {
-    ensure_capacity(i);
+    words_.reserve(i / 64 + 1);
     const std::uint64_t mask = 1ULL << (i % 64);
     const std::uint64_t old = words_.index(i / 64).fetch_or(
         mask, std::memory_order_acq_rel);
     return (old & mask) != 0;
   }
 
-  /// Clears bit `i` (must have been set, so its word exists); returns the
-  /// previous value. Waits out the replication gap if this locale's
-  /// replica lags the growth that created the word.
+  /// Clears bit `i` (must have been set, so its word exists — on every
+  /// locale: set()'s growth was published everywhere before it returned);
+  /// returns the previous value.
   bool clear(std::size_t i) {
-    if (words_.capacity() <= i / 64) {
-      plat::Backoff backoff(4);
-      while (words_.capacity() <= i / 64) backoff.pause();
-    }
     const std::uint64_t mask = 1ULL << (i % 64);
     const std::uint64_t old = words_.index(i / 64).fetch_and(
         ~mask, std::memory_order_acq_rel);
@@ -89,18 +83,7 @@ class DistBitset {
   }
 
  private:
-  void ensure_capacity(std::size_t bit) {
-    const std::size_t word = bit / 64;
-    while (words_.capacity() <= word) {
-      std::lock_guard<std::mutex> guard(grow_mu_);
-      if (words_.capacity() > word) break;
-      const std::size_t have = words_.num_blocks();
-      words_.resize_add(words_.block_size() * (have == 0 ? 1 : have));
-    }
-  }
-
   RCUArray<std::atomic<std::uint64_t>, Policy> words_;
-  std::mutex grow_mu_;
 };
 
 }  // namespace rcua::cont

@@ -21,7 +21,7 @@ namespace rcua::cont {
 /// Layout: one RCUArray<Slot> slab. The first `num_buckets` slots are the
 /// bucket heads; collision chains link through overflow slots allocated
 /// from the tail of the slab by a bump cursor. When the slab runs out,
-/// it grows via RCUArray::resize_add — which is the whole point: *the
+/// it grows via the backend's reserve — which is the whole point: *the
 /// table keeps serving lookups and inserts during growth*, because
 /// RCUArray's resize is parallel-safe and chains address slots by index,
 /// which block recycling keeps stable across snapshots (Lemma 6).
@@ -222,19 +222,11 @@ class DistHashMap {
     return static_cast<std::size_t>(plat::mix64(ek) % num_buckets_);
   }
 
-  /// Slot access that tolerates racing growth: a chain can legitimately
-  /// reference a slot in a block our locale's snapshot replica does not
-  /// include yet (the linker observed ITS locale's new replica; replicas
-  /// are written per locale with no cross-locale ordering). Waiting until
-  /// our replica catches up is a bounded coherence wait — the resize
-  /// finished replicating before the slot became linkable.
-  Slot& slot_at(std::size_t idx) {
-    if (slots_.capacity() <= idx) {
-      plat::Backoff backoff(4);
-      while (slots_.capacity() <= idx) backoff.pause();
-    }
-    return slots_.index(idx);
-  }
+  /// Slot access under racing growth: a chain only links a slot that
+  /// alloc_slot() reserved, and reserve() returns once the growth is
+  /// published on every locale — so the linked index is in this
+  /// locale's snapshot too (the acquire on `next`/the bucket orders it).
+  Slot& slot_at(std::size_t idx) { return slots_.index(idx); }
 
   std::size_t alloc_slot() {
     {
@@ -246,12 +238,7 @@ class DistHashMap {
       }
     }
     const std::size_t idx = cursor_->fetch_add(1, std::memory_order_acq_rel);
-    while (slots_.capacity() <= idx) {
-      std::lock_guard<std::mutex> guard(grow_mu_);
-      if (slots_.capacity() > idx) break;
-      slots_.resize_add(slots_.block_size() *
-                        (slots_.num_blocks() == 0 ? 1 : slots_.num_blocks()));
-    }
+    slots_.reserve(idx + 1);
     return idx;
   }
 
@@ -264,7 +251,6 @@ class DistHashMap {
   Backend<Slot, Policy> slots_;
   plat::CacheAligned<std::atomic<std::size_t>> cursor_{std::size_t{0}};
   plat::CacheAligned<std::atomic<std::size_t>> count_{std::size_t{0}};
-  std::mutex grow_mu_;
   std::mutex recycle_mu_;
   std::vector<std::size_t> recycled_;
 };

@@ -8,7 +8,6 @@
 
 #include "core/rcu_array.hpp"
 #include "platform/align.hpp"
-#include "platform/backoff.hpp"
 
 namespace rcua::cont {
 
@@ -55,7 +54,7 @@ class DistIdTable {
       }
     }
     id = next_->fetch_add(1, std::memory_order_acq_rel);
-    ensure_capacity(id + 1);
+    arr_.reserve(id + 1);
     live_->fetch_add(1, std::memory_order_relaxed);
     // In-section store (write, not index): stores stay migration-safe
     // against a concurrent shard rehome of the sharded backend.
@@ -64,31 +63,19 @@ class DistIdTable {
   }
 
   /// Reference to the value behind `id`. Parallel-safe with allocate /
-  /// growth (waits out the bounded replication gap if this locale's
-  /// replica lags the growth that created `id`). The caller must not use
-  /// an id it has released. NOT safe concurrent with a live migration of
-  /// the sharded backend — the reference escapes the read-side section,
-  /// which rehome's reclamation does not cover (use read() for lookups
-  /// that may race a migration).
-  V& get(std::size_t id) {
-    if (arr_.capacity() <= id) {
-      plat::Backoff backoff(4);
-      while (arr_.capacity() <= id) backoff.pause();
-    }
-    return arr_.index(id);
-  }
+  /// growth, from any locale: the growth that created `id` was published
+  /// on every locale before allocate() returned it. The caller must not
+  /// use an id it has released. NOT safe concurrent with a live
+  /// migration of the sharded backend — the reference escapes the
+  /// read-side section, which rehome's reclamation does not cover (use
+  /// read() for lookups that may race a migration).
+  V& get(std::size_t id) { return arr_.index(id); }
 
   /// Value lookup: the migration-safe twin of get(). The copy happens
   /// inside the backend's read-side section, so it is safe concurrent
   /// with live shard migrations (rehome reclaims replaced blocks;
   /// escaped references don't survive that, values do).
-  V read(std::size_t id) {
-    if (arr_.capacity() <= id) {
-      plat::Backoff backoff(4);
-      while (arr_.capacity() <= id) backoff.pause();
-    }
-    return arr_.read(id);
-  }
+  V read(std::size_t id) { return arr_.read(id); }
 
   /// Recycles `id`. The slot's value is left in place (callers treat a
   /// released id as invalid).
@@ -110,22 +97,10 @@ class DistIdTable {
   [[nodiscard]] Backend<V, Policy>& backing() noexcept { return arr_; }
 
  private:
-  void ensure_capacity(std::size_t needed) {
-    while (arr_.capacity() < needed) {
-      std::lock_guard<std::mutex> guard(grow_mu_);
-      const std::size_t cap = arr_.capacity();
-      if (cap >= needed) break;
-      arr_.resize_add(arr_.block_size() * (arr_.num_blocks() == 0
-                                               ? 1
-                                               : arr_.num_blocks()));
-    }
-  }
-
   Backend<V, Policy> arr_;
   plat::CacheAligned<std::atomic<std::size_t>> next_{std::size_t{0}};
   plat::CacheAligned<std::atomic<std::size_t>> live_{std::size_t{0}};
   std::mutex free_mu_;
-  std::mutex grow_mu_;
   std::vector<std::size_t> free_ids_;
 };
 

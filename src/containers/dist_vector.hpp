@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -28,6 +28,9 @@ namespace rcua::cont {
 /// happens-before edge (no torn or default values, no data race).
 /// Producers briefly wait for earlier reservations to publish; the gap is
 /// the time between a competitor's fetch-add and its slot store.
+/// Growth is the backend's `reserve`: its capacity() is published on
+/// every locale, so an index below size() is readable from any locale
+/// without waiting.
 /// `Backend` is the storage engine: RCUArray (the default, one array
 /// with round-robin blocks) or svc::ShardedCollection (block-cyclic
 /// shards with live migration — the container becomes a shard client
@@ -39,7 +42,8 @@ class DistVector {
  public:
   struct Options {
     std::size_t block_size = 1024;
-    /// Blocks added per growth step (doubling up to this many blocks).
+    /// Blocks added per growth step (doubling up to this many blocks);
+    /// must be at least 1.
     std::size_t max_growth_blocks = 64;
     reclaim::Qsbr* qsbr = nullptr;
   };
@@ -47,7 +51,11 @@ class DistVector {
   explicit DistVector(rt::Cluster& cluster, Options options = {})
       : arr_(cluster, /*initial_capacity=*/options.block_size,
              {options.block_size, options.qsbr}),
-        max_growth_blocks_(options.max_growth_blocks) {}
+        max_growth_blocks_(options.max_growth_blocks) {
+    if (max_growth_blocks_ == 0) {
+      throw std::invalid_argument("max_growth_blocks == 0");
+    }
+  }
 
   DistVector(const DistVector&) = delete;
   DistVector& operator=(const DistVector&) = delete;
@@ -58,20 +66,9 @@ class DistVector {
   std::size_t push_back(T value) {
     const std::size_t idx =
         reserved_->fetch_add(1, std::memory_order_relaxed);
-    ensure_capacity(idx + 1);
+    arr_.reserve(idx + 1, max_growth_blocks_);
     arr_.write(idx, std::move(value));
-    // Publish in reservation order: slot idx becomes visible through
-    // size() only once every earlier slot already is, so readers below
-    // size() always see completed writes (release pairs with the acquire
-    // in size()).
-    std::size_t expected = idx;
-    plat::Backoff backoff(4);
-    while (!size_->compare_exchange_weak(expected, idx + 1,
-                                         std::memory_order_release,
-                                         std::memory_order_relaxed)) {
-      expected = idx;
-      backoff.pause();
-    }
+    publish(idx, 1);
     return idx;
   }
 
@@ -93,16 +90,9 @@ class DistVector {
     if (n == 0) return size();
     const std::size_t idx =
         reserved_->fetch_add(n, std::memory_order_relaxed);
-    ensure_capacity(idx + n);
+    arr_.reserve(idx + n, max_growth_blocks_);
     arr_.bulk_write(idx, values, opts);
-    std::size_t expected = idx;
-    plat::Backoff backoff(4);
-    while (!size_->compare_exchange_weak(expected, idx + n,
-                                         std::memory_order_release,
-                                         std::memory_order_relaxed)) {
-      expected = idx;
-      backoff.pause();
-    }
+    publish(idx, n);
     return idx;
   }
 
@@ -115,23 +105,17 @@ class DistVector {
     if (first + count > size() || first + count < first) {
       throw std::out_of_range("DistVector::read_range beyond size");
     }
-    wait_replicated(first + count);
     return arr_.bulk_read(first, count, opts);
   }
 
-  /// Reference to element `i` (valid across growth). Parallel-safe: if a
-  /// racing grower published index `i` (via size()) before this locale's
-  /// snapshot replica caught up, waits out the bounded replication gap.
-  T& operator[](std::size_t i) {
-    wait_replicated(i + 1);
-    return arr_.index(i);
-  }
+  /// Reference to element `i` (valid across growth). Parallel-safe for
+  /// any `i` below size(), from any locale.
+  T& operator[](std::size_t i) { return arr_.index(i); }
 
   T& at(std::size_t i) {
     if (i >= size()) {
       throw std::out_of_range("DistVector::at beyond size");
     }
-    wait_replicated(i + 1);
     return arr_.index(i);
   }
 
@@ -142,26 +126,18 @@ class DistVector {
   [[nodiscard]] Backend<T, Policy>& backing() noexcept { return arr_; }
 
  private:
-  /// Index `needed-1` was published by another thread, so the resize
-  /// that created it already completed; wait for this locale's replica.
-  void wait_replicated(std::size_t needed) {
-    if (arr_.capacity() >= needed) return;
+  /// Publishes slots [idx, idx+n) in reservation order: they become
+  /// visible through size() only once every earlier slot already is, so
+  /// readers below size() always see completed writes (release pairs
+  /// with the acquire in size()).
+  void publish(std::size_t idx, std::size_t n) {
+    std::size_t expected = idx;
     plat::Backoff backoff(4);
-    while (arr_.capacity() < needed) backoff.pause();
-  }
-
-  void ensure_capacity(std::size_t needed) {
-    while (arr_.capacity() < needed) {
-      std::lock_guard<std::mutex> guard(grow_mu_);
-      const std::size_t cap = arr_.capacity();
-      if (cap >= needed) break;
-      // Grow by min(current block count, max_growth_blocks) blocks:
-      // amortized doubling without unbounded resize latency.
-      const std::size_t blocks = arr_.num_blocks();
-      const std::size_t grow_blocks =
-          blocks < max_growth_blocks_ ? (blocks == 0 ? 1 : blocks)
-                                      : max_growth_blocks_;
-      arr_.resize_add(grow_blocks * arr_.block_size());
+    while (!size_->compare_exchange_weak(expected, idx + n,
+                                         std::memory_order_release,
+                                         std::memory_order_relaxed)) {
+      expected = idx;
+      backoff.pause();
     }
   }
 
@@ -171,7 +147,6 @@ class DistVector {
   plat::CacheAligned<std::atomic<std::size_t>> reserved_{std::size_t{0}};
   /// Published length: every slot below it is fully written.
   plat::CacheAligned<std::atomic<std::size_t>> size_{std::size_t{0}};
-  std::mutex grow_mu_;
   std::size_t max_growth_blocks_;
 };
 

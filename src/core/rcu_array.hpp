@@ -86,8 +86,12 @@ struct HazardErasPolicy {
 ///
 /// Thread-safety contract:
 ///  * index/read/write: parallel-safe, including concurrently with resize.
-///  * resize_add: parallel-safe against everything (serialized by the
-///    cluster-wide WriteLock).
+///  * resize_add/reserve: parallel-safe against everything (serialized by
+///    the cluster-wide WriteLock).
+///  * capacity(): every index below it is present in EVERY locale's
+///    snapshot. The count advances only after a grow has swapped in its
+///    snapshot on all locales (DESIGN.md §14), so an index another task
+///    observed as grown is usable from any locale without waiting.
 ///  * QSBR policy: callers must invoke `reclaim::Qsbr::checkpoint()`
 ///    periodically (or rely on pool workers parking) and must not hold a
 ///    reference obtained *from a dropped spine's blocks*— note blocks are
@@ -263,70 +267,22 @@ class RCUArray {
   /// snapshot swap on every locale. Parallel-safe against all operations.
   void resize_add(std::size_t num_elements) {
     if (num_elements == 0) return;
-    const std::size_t nblocks =
-        (num_elements + block_size_ - 1) / block_size_;
-    obs::TraceSpan resize_span("rcua.resize_add", "rcua", nblocks);
-
-    std::vector<Block<T>*> new_blocks;  // line 9
     std::lock_guard<rt::GlobalLock> lock(write_lock_);  // lines 10 and 29
-    const std::uint32_t here = cluster_.here();
-    std::uint32_t loc = priv().next_locale_id;  // line 11
-    // Allocate and distribute new blocks (lines 12-16), pipelined (see
-    // alloc_blocks), preserving the round-robin block order.
-    {
-      std::vector<std::uint32_t> targets(nblocks);
-      const std::uint32_t home = home_locale();
-      const bool pinned = home != Options::kNoHomeLocale;
-      for (std::size_t k = 0; k < nblocks; ++k) {
-        targets[k] = pinned ? home : loc;
-        if (!pinned) loc = (loc + 1) % cluster_.num_locales();
-      }
-      rt::AsyncComm async(cluster_.comm(), here);
-      new_blocks = alloc_blocks(async, targets);
-    }
-    const std::uint32_t final_loc = loc;
+    add_blocks((num_elements + block_size_ - 1) / block_size_);
+  }
 
-    // Update performed on each node (lines 18-28), retried against
-    // injected broadcast faults: a locale whose swap step the fault plan
-    // drops is re-broadcast with backoff until every locale has
-    // published. `done` makes the per-locale body idempotent across
-    // attempts, and after max_publish_attempts_ the plan is no longer
-    // consulted, so resize_add terminates under any plan.
-    std::vector<std::atomic<bool>> done(cluster_.num_locales());
-    std::uint32_t attempt = 0;
-    plat::Backoff publish_backoff;
-    for (;;) {
-      cluster_.coforall_locales([&](std::uint32_t l) {
-        if (done[l].load(std::memory_order_acquire)) return;
-        if (rt::FaultPlan* plan = cluster_.fault_plan();
-            plan != nullptr && attempt < max_publish_attempts_ &&
-            plan->fires(rt::FaultPlan::Action::kDropBroadcast, l)) {
-          RCUA_SCHED_POINT("rcua.resize.broadcast_dropped");
-          return;  // injected lost broadcast: this locale missed the swap
-        }
-        PerLocale& p = priv_at(l);
-        const Unpublished old =
-            swap_spine(l, kResizeSites, [&](const Snapshot<T>& s) {
-              return Snapshot<T>::clone_append(s, new_blocks);
-            });
-        // RCU_Write lines 5-8 under EBR, a deferral under QSBR (lines
-        // 21-25), an era retire+scan under IBR/HE (DESIGN.md §13).
-        if (p.domain.retire(old.spine, spine_bytes(*old.spine), old.birth)) {
-          stalled_spines_.fetch_add(1, std::memory_order_relaxed);
-        }
-        p.next_locale_id = final_loc;  // line 28
-        done[l].store(true, std::memory_order_release);
-      });
-      bool all_published = true;
-      for (auto& d : done) {
-        all_published = all_published && d.load(std::memory_order_acquire);
-      }
-      if (all_published) break;
-      ++attempt;
-      broadcast_retries_.fetch_add(1, std::memory_order_relaxed);
-      publish_backoff.pause();
+  /// Grows until capacity() >= `needed`: the one growth rule the
+  /// containers share. Each step adds max(1, min(num_blocks(),
+  /// max_step_blocks)) blocks — amortized doubling, optionally capped to
+  /// bound one resize's latency. Concurrent callers queue on the write
+  /// lock and re-check, so a shortfall is grown exactly once.
+  void reserve(std::size_t needed, std::size_t max_step_blocks = SIZE_MAX) {
+    if (capacity() >= needed) return;
+    std::lock_guard<rt::GlobalLock> lock(write_lock_);
+    while (capacity() < needed) {
+      add_blocks(
+          std::max<std::size_t>(1, std::min(num_blocks(), max_step_blocks)));
     }
-    resizes_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// EXTENSION (beyond the paper, which covers expansion only): shrinks
@@ -346,6 +302,9 @@ class RCUArray {
     const std::size_t old_blocks = current->num_blocks();
     const std::size_t keep =
         remove_blocks >= old_blocks ? 0 : old_blocks - remove_blocks;
+    // Lowered BEFORE the first swap: capacity() never covers an index
+    // some locale's snapshot has already dropped.
+    published_blocks_.store(keep, std::memory_order_release);
     // The blocks being dropped (identical in every locale's spine).
     std::vector<Block<T>*> dropped(current->blocks().begin() +
                                        static_cast<std::ptrdiff_t>(keep),
@@ -739,19 +698,18 @@ class RCUArray {
 
   // -- Introspection ----------------------------------------------------
 
-  // Each reads the calling locale's snapshot inside a read-side section
-  // that lasts for the full expression.
-
-  /// Element capacity of the current locale's snapshot.
-  [[nodiscard]] std::size_t capacity() const {
-    return pin_spine()->capacity();
+  /// Element capacity published on every locale (see the class comment);
+  /// View::capacity() reports the pinned snapshot instead.
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return num_blocks() * block_size_;
   }
 
-  [[nodiscard]] std::size_t num_blocks() const {
-    return pin_spine()->num_blocks();
+  [[nodiscard]] std::size_t num_blocks() const noexcept {
+    return published_blocks_.load(std::memory_order_acquire);
   }
 
-  /// Locale owning the block that holds element `i`.
+  /// Locale owning the block that holds element `i`, read from the
+  /// calling locale's snapshot inside a read-side section.
   [[nodiscard]] std::uint32_t block_owner(std::size_t i) const {
     return pin_spine()->block(i / block_size_)->owner();
   }
@@ -862,6 +820,83 @@ class RCUArray {
   [[nodiscard]] static std::size_t spine_bytes(
       const Snapshot<T>& s) noexcept {
     return sizeof(Snapshot<T>) + s.num_blocks() * sizeof(Block<T>*);
+  }
+
+  /// Appends `nblocks` blocks (Algorithm 3, Resize, lines 9-28) and
+  /// advances capacity() once every locale has published them. Caller
+  /// holds the write lock.
+  void add_blocks(std::size_t nblocks) {
+    obs::TraceSpan resize_span("rcua.resize_add", "rcua", nblocks);
+    const std::size_t grown =
+        published_blocks_.load(std::memory_order_relaxed) + nblocks;
+    std::vector<Block<T>*> new_blocks;  // line 9
+    const std::uint32_t here = cluster_.here();
+    std::uint32_t loc = priv().next_locale_id;  // line 11
+    // Allocate and distribute new blocks (lines 12-16), pipelined (see
+    // alloc_blocks), preserving the round-robin block order.
+    {
+      std::vector<std::uint32_t> targets(nblocks);
+      const std::uint32_t home = home_locale();
+      const bool pinned = home != Options::kNoHomeLocale;
+      for (std::size_t k = 0; k < nblocks; ++k) {
+        targets[k] = pinned ? home : loc;
+        if (!pinned) loc = (loc + 1) % cluster_.num_locales();
+      }
+      rt::AsyncComm async(cluster_.comm(), here);
+      new_blocks = alloc_blocks(async, targets);
+    }
+    const std::uint32_t final_loc = loc;
+    if (RCUA_SCHED_MUT(capacity_publish_before_broadcast)) {
+      // MUTATION (sched harness only): capacity() covers the new blocks
+      // before any locale swapped them in — a reader on a lagging locale
+      // sees an index its own snapshot does not hold yet.
+      published_blocks_.store(grown, std::memory_order_release);
+    }
+
+    // Update performed on each node (lines 18-28), retried against
+    // injected broadcast faults: a locale whose swap step the fault plan
+    // drops is re-broadcast with backoff until every locale has
+    // published. `done` makes the per-locale body idempotent across
+    // attempts, and after max_publish_attempts_ the plan is no longer
+    // consulted, so resize_add terminates under any plan.
+    std::vector<std::atomic<bool>> done(cluster_.num_locales());
+    std::uint32_t attempt = 0;
+    plat::Backoff publish_backoff;
+    for (;;) {
+      cluster_.coforall_locales([&](std::uint32_t l) {
+        if (done[l].load(std::memory_order_acquire)) return;
+        if (rt::FaultPlan* plan = cluster_.fault_plan();
+            plan != nullptr && attempt < max_publish_attempts_ &&
+            plan->fires(rt::FaultPlan::Action::kDropBroadcast, l)) {
+          RCUA_SCHED_POINT("rcua.resize.broadcast_dropped");
+          return;  // injected lost broadcast: this locale missed the swap
+        }
+        PerLocale& p = priv_at(l);
+        const Unpublished old =
+            swap_spine(l, kResizeSites, [&](const Snapshot<T>& s) {
+              return Snapshot<T>::clone_append(s, new_blocks);
+            });
+        // RCU_Write lines 5-8 under EBR, a deferral under QSBR (lines
+        // 21-25), an era retire+scan under IBR/HE (DESIGN.md §13).
+        if (p.domain.retire(old.spine, spine_bytes(*old.spine), old.birth)) {
+          stalled_spines_.fetch_add(1, std::memory_order_relaxed);
+        }
+        p.next_locale_id = final_loc;  // line 28
+        done[l].store(true, std::memory_order_release);
+      });
+      bool all_published = true;
+      for (auto& d : done) {
+        all_published = all_published && d.load(std::memory_order_acquire);
+      }
+      if (all_published) break;
+      ++attempt;
+      broadcast_retries_.fetch_add(1, std::memory_order_relaxed);
+      publish_backoff.pause();
+    }
+    // Release pairs with capacity()'s acquire: every locale's swap above
+    // happens-before any use of an index the new count covers.
+    published_blocks_.store(grown, std::memory_order_release);
+    resizes_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Allocates one block on each of `targets` through `async` (`on
@@ -1288,6 +1323,10 @@ class RCUArray {
   std::uint32_t max_publish_attempts_;
   std::size_t cache_capacity_;
   std::atomic<std::uint32_t> home_locale_;
+  /// Blocks present in every locale's snapshot (capacity()). Written
+  /// under the write lock: raised after a grow's last swap, lowered
+  /// before a shrink's first.
+  std::atomic<std::size_t> published_blocks_{0};
   rt::GlobalLock write_lock_;
   int pid_;
   std::atomic<std::uint64_t> resizes_{0};

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -173,17 +174,19 @@ class ShardedCollection {
         (num_elements + block_size_ - 1) / block_size_;
     if (nblocks == 0) return;
     std::lock_guard<std::mutex> guard(migrate_mu_);
-    const std::size_t base = total_blocks_.load(std::memory_order_relaxed);
-    std::vector<std::size_t> grow(shard_count_, 0);
-    for (std::size_t k = 0; k < nblocks; ++k) {
-      grow[(base + k) % shard_count_] += 1;
+    add_blocks(nblocks);
+  }
+
+  /// Grows until capacity() >= `needed`, with RCUArray::reserve's step
+  /// rule: max(1, min(num_blocks(), max_step_blocks)) blocks per step,
+  /// serialized by the migration lock.
+  void reserve(std::size_t needed, std::size_t max_step_blocks = SIZE_MAX) {
+    if (capacity() >= needed) return;
+    std::lock_guard<std::mutex> guard(migrate_mu_);
+    while (capacity() < needed) {
+      add_blocks(
+          std::max<std::size_t>(1, std::min(num_blocks(), max_step_blocks)));
     }
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-      if (grow[s] != 0) shards_[s]->resize_add(grow[s] * block_size_);
-    }
-    // Release pairs with capacity()'s acquire: a capacity the caller
-    // observes is backed by fully published shard resizes.
-    total_blocks_.store(base + nblocks, std::memory_order_release);
   }
 
   // -- Live migration ----------------------------------------------------
@@ -259,6 +262,22 @@ class ShardedCollection {
     std::size_t shard;
     std::size_t local;
   };
+
+  /// Deals `nblocks` new global blocks to their shards and publishes
+  /// the new total. Caller holds the migration lock.
+  void add_blocks(std::size_t nblocks) {
+    const std::size_t base = total_blocks_.load(std::memory_order_relaxed);
+    std::vector<std::size_t> grow(shard_count_, 0);
+    for (std::size_t k = 0; k < nblocks; ++k) {
+      grow[(base + k) % shard_count_] += 1;
+    }
+    for (std::size_t s = 0; s < shard_count_; ++s) {
+      if (grow[s] != 0) shards_[s]->resize_add(grow[s] * block_size_);
+    }
+    // Release pairs with capacity()'s acquire: a capacity the caller
+    // observes is backed by fully published shard resizes.
+    total_blocks_.store(base + nblocks, std::memory_order_release);
+  }
 
   static std::size_t resolve_shard_count(std::size_t opt,
                                          rt::Cluster& cluster) {

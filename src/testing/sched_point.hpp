@@ -143,6 +143,14 @@ struct Mutations {
   /// the replaced blocks — the migrate→invalidate→drain ordering rule
   /// (DESIGN.md §14; tests/test_sched_migration.cpp).
   bool migrate_reclaim_before_mapping_drain = false;
+  /// Resize (RCUArray::add_blocks): advance the published capacity
+  /// BEFORE the per-locale snapshot swaps instead of after the last one.
+  /// Plausible (the blocks are already allocated, and the swaps are
+  /// about to run under the write lock) but unsound: a task on a locale
+  /// whose swap has not landed sees capacity() cover an index its own
+  /// snapshot does not hold — the replica lag the contract rules out
+  /// (DESIGN.md §14; tests/test_sched_rcu_array.cpp).
+  bool capacity_publish_before_broadcast = false;
 };
 [[nodiscard]] Mutations& mutations() noexcept;
 

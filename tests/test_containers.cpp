@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -48,6 +49,16 @@ TEST(DistVector, AtThrowsPastSize) {
   vec.push_back(1);
   EXPECT_NO_THROW(vec.at(0));
   EXPECT_THROW(vec.at(1), std::out_of_range);
+  drain_qsbr();
+}
+
+TEST(DistVector, ZeroMaxGrowthBlocksIsRejected) {
+  // A 0-block growth step could never grow the vector past its first
+  // block; construction refuses it up front, like block_size == 0.
+  rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
+  DistVector<std::uint64_t>::Options opts;
+  opts.max_growth_blocks = 0;
+  EXPECT_THROW(DistVector<std::uint64_t>(cluster, opts), std::invalid_argument);
   drain_qsbr();
 }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/rcu_array.hpp"
@@ -284,4 +285,36 @@ TEST(RcuArrayEbr, FailedMultiBlockResizeFreesAllocatedBlocks) {
     arr.resize_add(3 * kBlock);
     EXPECT_EQ(arr.capacity(), (k + 1) * 3 * kBlock);
   }
+}
+
+TEST(RcuArrayEbr, ConcurrentReserveGrowsOnce) {
+  constexpr std::size_t kBlock = 8;
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+  RCUArray<int, EbrPolicy> arr(cluster, kBlock, {.block_size = kBlock});
+  ASSERT_EQ(arr.resize_count(), 1u);
+  // Every thread sees the same one-block shortfall; the re-check under
+  // the write lock lets exactly one of them grow.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&arr] { arr.reserve(kBlock + 1); });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(arr.resize_count(), 2u);
+  EXPECT_EQ(arr.num_blocks(), 2u);
+  EXPECT_EQ(arr.capacity(), 2 * kBlock);
+  // The published count is the pinned snapshot's on every locale.
+  for (std::uint32_t l = 0; l < cluster.num_locales(); ++l) {
+    cluster.on(l, [&] { EXPECT_EQ(arr.view().num_blocks(), 2u); });
+  }
+
+  // Doubling steps (2 -> 4 -> 8 blocks) unless capped: with
+  // max_step_blocks = 3 one step adds 3 blocks, not 8.
+  arr.reserve(7 * kBlock);
+  EXPECT_EQ(arr.num_blocks(), 8u);
+  EXPECT_EQ(arr.resize_count(), 4u);
+  arr.reserve(8 * kBlock + 1, /*max_step_blocks=*/3);
+  EXPECT_EQ(arr.num_blocks(), 11u);
+  EXPECT_EQ(arr.resize_count(), 5u);
+  arr.reserve(arr.capacity());  // already there: no resize
+  EXPECT_EQ(arr.resize_count(), 5u);
 }

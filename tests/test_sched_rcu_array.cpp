@@ -1,7 +1,7 @@
 // Schedule-exploration tests for RCUArray's resize protocol (Algorithm 3)
 // under both reclamation policies.
 //
-// Lemma 6 is the property under test: a reference obtained from index()
+// Lemma 6 is the first property under test: a reference obtained from index()
 // before a resize still reads and writes the same element afterwards, even
 // though the resize reclaims the old spine — because snapshot clones
 // recycle the block pointers. Lemma 1 (at most two live spines per locale
@@ -12,6 +12,11 @@
 // constructed empty so the *scheduled* writer task performs every resize:
 // that routes all coforall bodies through the deterministic scheduler and
 // keeps pool workers out of the per-schedule QSBR domain.
+//
+// The second is the capacity() contract: every index below capacity() is
+// present in every locale's snapshot. The `capacity_publish_before_
+// broadcast` mutation advances the published count before the per-locale
+// swaps, and a reader on the lagging locale must catch it.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +28,7 @@
 #include "core/snapshot.hpp"
 #include "reclaim/qsbr.hpp"
 #include "runtime/cluster.hpp"
+#include "runtime/this_task.hpp"
 #include "runtime/thread_registry.hpp"
 #include "testing/scheduler.hpp"
 
@@ -35,6 +41,7 @@ using rcua::Snapshot;
 using rcua::testing::ExploreMode;
 using rcua::testing::ExploreOptions;
 using rcua::testing::ExploreResult;
+using rcua::testing::ScopedMutation;
 using rcua::testing::Scheduler;
 
 constexpr std::uint32_t kLocales = 2;
@@ -232,4 +239,84 @@ TEST(SchedRcuArray, RemoveDefersBlockReclamationUnderQsbr) {
   EXPECT_EQ(Snapshot<int>::live_count(), 0u);
 }
 
+/// Capacity contract: a reader task on locale 1 polls capacity() while
+/// the writer grows the array from its first block to two. Once it sees
+/// the grown count it pins locale 1's snapshot, which must already hold
+/// every published block. Counts only: the reader never dereferences an
+/// index, so a violating schedule touches no out-of-range memory.
+void capacity_scenario(rcua::rt::Cluster& cluster, Scheduler& sched) {
+  struct State {
+    explicit State(rcua::rt::Cluster& c)
+        : cluster(c), arr(c, 0, {.block_size = kBlock}) {}
+    rcua::rt::Cluster& cluster;
+    RCUArray<int, EbrPolicy> arr;
+    std::atomic<bool> checked{false};
+  };
+  auto st = std::make_shared<State>(cluster);
+  sched.spawn("reader", [st] {
+    rcua::rt::LocaleScope on_locale_1(st->cluster, 1);
+    rcua::testing::sched_await("test.wait_grown", [st] {
+      return st->arr.capacity() >= 2 * kBlock;
+    });
+    const std::size_t published = st->arr.num_blocks();
+    auto view = st->arr.view();
+    if (view.num_blocks() < published) {
+      rcua::testing::sched_violation(
+          "capacity() covers blocks locale 1's snapshot does not hold");
+    }
+    st->checked.store(true, std::memory_order_seq_cst);
+  });
+  sched.spawn("writer", [st] {
+    st->arr.resize_add(kBlock);
+    st->arr.resize_add(kBlock);
+  });
+  sched.on_finish([st](Scheduler& s) {
+    if (s.violated()) return;
+    if (!st->checked.load() || st->arr.capacity() != 2 * kBlock) {
+      s.violation("capacity scenario did not complete");
+    }
+  });
+}
+
 }  // namespace
+
+TEST(SchedRcuArray, MutationCapacityPublishBeforeBroadcastFound) {
+  rcua::rt::Cluster cluster(small_cluster());
+  ScopedMutation mut(
+      &rcua::testing::mutations().capacity_publish_before_broadcast);
+
+  ExploreOptions opts;
+  opts.mode = ExploreMode::kRandom;
+  opts.schedules = 4000;
+  const ExploreResult result = rcua::testing::explore(
+      opts, [&cluster](Scheduler& s) { capacity_scenario(cluster, s); });
+  ASSERT_TRUE(result.found)
+      << "advancing capacity() before every locale swapped must be caught";
+
+  // The printed seed replays the violating schedule deterministically.
+  ExploreOptions replay;
+  replay.mode = ExploreMode::kRandom;
+  replay.schedules = 1;
+  replay.base_seed = result.seed;
+  replay.quiet = true;
+  const ExploreResult again = rcua::testing::explore(
+      replay, [&cluster](Scheduler& s) { capacity_scenario(cluster, s); });
+  ASSERT_TRUE(again.found) << "seed " << result.seed << " did not replay";
+  EXPECT_EQ(again.message, result.message);
+}
+
+TEST(SchedRcuArray, CapacityNegativeControl) {
+  // Unmutated: the count advances after the last locale's swap, so no
+  // schedule lets locale 1 observe a capacity its snapshot lacks.
+  rcua::rt::Cluster cluster(small_cluster());
+
+  ExploreOptions opts;
+  opts.mode = ExploreMode::kRandom;
+  opts.schedules = 400;
+  opts.stop_on_violation = false;
+  const ExploreResult result = rcua::testing::explore(
+      opts, [&cluster](Scheduler& s) { capacity_scenario(cluster, s); });
+  EXPECT_FALSE(result.found) << result.message << "\n" << result.trace;
+  EXPECT_EQ(result.schedules_run,
+            rcua::testing::effective_schedule_budget(opts));
+}

@@ -118,8 +118,7 @@ CellResult run_cell(std::uint64_t stall_ns, double stall_prob,
 
   typename Array::Options opts;
   opts.block_size = p.block_size;
-  opts.stall_policy.deadline_ns = 100 * 1000;  // defer, never block
-  opts.stall_policy.park_ns = 20 * 1000;
+  opts.stall_deadline_ns = 100 * 1000;  // defer, never block
   opts.stall_monitor = &monitor;
   if constexpr (Array::uses_qsbr) {
     registry.emplace();
@@ -232,10 +231,7 @@ bool run_counters(const char* tag) {
   typename Array::Options opts;
   opts.block_size = 64;
   // Parked view: every EBR drain must time out deterministically.
-  opts.stall_policy.deadline_ns = 1;
-  opts.stall_policy.spin_iters = 1;
-  opts.stall_policy.yield_iters = 1;
-  opts.stall_policy.park_ns = 1000;
+  opts.stall_deadline_ns = 1;
   opts.stall_monitor = &monitor;
   if constexpr (Array::uses_qsbr) {
     registry.emplace();

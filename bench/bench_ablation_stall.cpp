@@ -59,8 +59,7 @@ CellResult run_cell(std::uint64_t deadline_ns, std::uint64_t stall_ns,
   using Array = rcua::RCUArray<std::uint64_t, rcua::EbrPolicy>;
   Array::Options opts;
   opts.block_size = p.block_size;
-  opts.stall_policy.deadline_ns = deadline_ns;
-  opts.stall_policy.park_ns = 20 * 1000;
+  opts.stall_deadline_ns = deadline_ns;
   opts.stall_monitor = &monitor;
   Array arr(cluster, p.block_size, opts);
 

@@ -21,7 +21,10 @@ Usage:
         --baseline bench/baselines/smoke.json \
         --current build/BENCH_*.json
 
-Refresh the baseline after an intended protocol change with:
+Refresh the baseline after an intended protocol change from a
+-DRCUA_STATS=ON build (CI's configuration; a stats-off run reports every
+`reads` total as 0):
+    cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DRCUA_STATS=ON
     cmake --build build --target bench-json
     cp build/BENCH_<timestamp>.json bench/baselines/smoke.json
 """
@@ -288,7 +291,8 @@ def main():
             for line in diff:
                 print(line, file=sys.stderr)
         print(
-            "\nIf the change is intentional, refresh the baseline:\n"
+            "\nIf the change is intentional, refresh the baseline from a "
+            "-DRCUA_STATS=ON build:\n"
             "  cmake --build build --target bench-json\n"
             "  cp build/BENCH_<timestamp>.json bench/baselines/smoke.json",
             file=sys.stderr,

@@ -105,12 +105,12 @@ class RCUArray {
     std::size_t block_size = 1024;
     /// QSBR domain; defaults to the process-wide one. Ignored under EBR.
     reclaim::Qsbr* qsbr = nullptr;
-    /// Deadline/backoff for the EBR spine drain in resize. The default
-    /// is env-configured and blocking (deadline 0) — the paper's
-    /// behaviour — unless RCUA_STALL_DEADLINE_NS is set. With a
-    /// deadline, a resize whose readers stall defers the old spine onto
-    /// a per-locale overflow retire list instead of blocking.
-    reclaim::StallPolicy stall_policy = reclaim::StallPolicy::from_env();
+    /// Deadline (ns) for the EBR spine drain in resize. The default is
+    /// RCUA_STALL_DEADLINE_NS, itself defaulting to 0 = block, the
+    /// paper's behaviour. With a deadline, a resize whose readers stall
+    /// defers the old spine onto a per-locale overflow retire list
+    /// instead of blocking.
+    std::uint64_t stall_deadline_ns = reclaim::stall_deadline_from_env();
     /// Watchdog receiving stall diagnostics and bounding overflow bytes
     /// (nullptr = the process-wide StallMonitor::global()).
     reclaim::StallMonitor* stall_monitor = nullptr;
@@ -147,26 +147,23 @@ class RCUArray {
            Options options = {})
       : cluster_(cluster),
         block_size_(options.block_size),
-        monitor_(options.stall_monitor != nullptr
-                     ? options.stall_monitor
-                     : &reclaim::StallMonitor::global()),
         max_publish_attempts_(options.max_publish_attempts),
         cache_capacity_(options.cache_capacity_bytes ==
                                 Options::kCacheCapacityFromEnv
                             ? rt::BlockCache::capacity_from_env()
                             : options.cache_capacity_bytes),
         home_locale_(options.home_locale),
-        write_lock_(cluster, /*owner_locale=*/0),
-        pid_(cluster.privatization().create()) {
+        write_lock_(cluster, /*owner_locale=*/0) {
     if (block_size_ == 0) throw std::invalid_argument("block_size == 0");
     if (options.home_locale != Options::kNoHomeLocale &&
         options.home_locale >= cluster.num_locales()) {
       throw std::invalid_argument("home_locale >= num_locales");
     }
-    const reclaim::DomainOptions domain_opts{.qsbr = options.qsbr,
-                                             .stall_policy =
-                                                 options.stall_policy,
-                                             .monitor = monitor_};
+    const reclaim::DomainOptions domain_opts{
+        .qsbr = options.qsbr,
+        .stall_deadline_ns = options.stall_deadline_ns,
+        .monitor = options.stall_monitor};
+    pid_ = cluster.privatization().create();
     cluster_.coforall_locales([&](std::uint32_t l) {
       auto* p = new PerLocale(cluster_.locale(l), domain_opts);
       p->global_snapshot.store(new Snapshot<T>(), std::memory_order_relaxed);
@@ -174,25 +171,18 @@ class RCUArray {
                                                   cache_capacity_);
       cluster_.privatization().set(pid_, l, p);
     });
-    if (initial_capacity > 0) resize_add(initial_capacity);
+    if (initial_capacity > 0) {
+      // No destructor runs for a constructor that throws.
+      try {
+        resize_add(initial_capacity);
+      } catch (...) {
+        teardown();
+        throw;
+      }
+    }
   }
 
-  ~RCUArray() {
-    // Contract: no concurrent operations. Locale 0's snapshot holds the
-    // complete block set (resizes only append, replicated everywhere).
-    std::vector<Block<T>*> blocks =
-        priv_at(0).global_snapshot.load(std::memory_order_acquire)->blocks();
-    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
-      PerLocale* p = &priv_at(l);
-      delete p->global_snapshot.load(std::memory_order_acquire);
-      delete p;  // the domain frees whatever it still holds
-    }
-    cluster_.privatization().destroy(pid_);
-    for (Block<T>* b : blocks) {
-      cluster_.locale(b->owner()).note_free(b->capacity() * sizeof(T));
-      delete b;
-    }
-  }
+  ~RCUArray() { teardown(); }
 
   RCUArray(const RCUArray&) = delete;
   RCUArray& operator=(const RCUArray&) = delete;
@@ -326,8 +316,8 @@ class RCUArray {
         // the ledger must not carry "live" bytes for freed blocks.
         p.cache->invalidate_tail(array_id(), keep);
       }
-      // Unlike resize_add, this drain stays BLOCKING even under a
-      // non-blocking stall policy: the dropped blocks freed below are
+      // Unlike resize_add, this drain stays BLOCKING even with a stall
+      // deadline: the dropped blocks freed below are
       // shared by every locale's spine, so their reclamation needs every
       // locale's readers drained — the per-locale parity tag the
       // overflow list relies on cannot cover them (DESIGN.md §8). A
@@ -769,11 +759,6 @@ class RCUArray {
   [[nodiscard]] std::size_t overflow_pending_objects() const {
     return sum_pending(&reclaim::Pending::overflow_objects);
   }
-  /// The watchdog this array reports to.
-  [[nodiscard]] reclaim::StallMonitor& stall_monitor() noexcept {
-    return *monitor_;
-  }
-
   /// Retired-but-unreclaimed spine bytes across all locales, whatever
   /// list they live on: EBR overflow lists, or the (bounded) era retire
   /// lists of the interval policies. QSBR deferral is process-global and
@@ -817,6 +802,26 @@ class RCUArray {
     /// the array, disabled when capacity is 0.
     std::unique_ptr<rt::BlockCache> cache;
   };
+  /// Frees every locale's copy, the blocks and the PID: the destructor,
+  /// and a constructor whose initial grow threw. Contract: no concurrent
+  /// operations.
+  void teardown() noexcept {
+    // Locale 0's snapshot holds the complete block set (resizes only
+    // append, replicated everywhere).
+    std::vector<Block<T>*> blocks =
+        priv_at(0).global_snapshot.load(std::memory_order_acquire)->blocks();
+    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
+      PerLocale* p = &priv_at(l);
+      delete p->global_snapshot.load(std::memory_order_acquire);
+      delete p;  // the domain frees whatever it still holds
+    }
+    cluster_.privatization().destroy(pid_);
+    for (Block<T>* b : blocks) {
+      cluster_.locale(b->owner()).note_free(b->capacity() * sizeof(T));
+      delete b;
+    }
+  }
+
   [[nodiscard]] static std::size_t spine_bytes(
       const Snapshot<T>& s) noexcept {
     return sizeof(Snapshot<T>) + s.num_blocks() * sizeof(Block<T>*);
@@ -1319,7 +1324,6 @@ class RCUArray {
 
   rt::Cluster& cluster_;
   std::size_t block_size_;
-  reclaim::StallMonitor* monitor_;
   std::uint32_t max_publish_attempts_;
   std::size_t cache_capacity_;
   std::atomic<std::uint32_t> home_locale_;
@@ -1328,7 +1332,7 @@ class RCUArray {
   /// before a shrink's first.
   std::atomic<std::size_t> published_blocks_{0};
   rt::GlobalLock write_lock_;
-  int pid_;
+  int pid_ = -1;
   std::atomic<std::uint64_t> resizes_{0};
   std::atomic<std::uint64_t> broadcast_retries_{0};
   std::atomic<std::uint64_t> stalled_spines_{0};

@@ -18,9 +18,10 @@
 namespace rcua::obs::health {
 
 /// Grace-period duration: how long writers waited for readers, from
-/// EBR wait_for_readers / try_wait_for_readers, Qsbr::try_synchronize
-/// and call_rcu's helper drain. Timed-out waits record the full
-/// deadline — the tail of this histogram is the stalled-reader signal.
+/// the EBR and era reclaimers' wait_for_readers and Qsbr::synchronize,
+/// on reclaim::grace_clock_ns() (virtual time when a TaskClock is
+/// attached). Timed-out EBR drains record the full deadline — the tail
+/// of this histogram is the stalled-reader signal.
 inline Histogram& grace_ns() {
   static Histogram& h = Registry::global().histogram("rcua.rcu.grace_ns");
   return h;

@@ -34,7 +34,6 @@
 #include "platform/spinlock.hpp"
 #include "platform/timing.hpp"
 #include "platform/topology.hpp"
-#include "reclaim/call_rcu.hpp"
 #include "reclaim/ebr.hpp"
 #include "reclaim/hazard.hpp"
 #include "reclaim/qsbr.hpp"

@@ -21,7 +21,6 @@
 
 #include "obs/health.hpp"
 #include "obs/trace.hpp"
-#include "platform/backoff.hpp"
 #include "reclaim/ebr.hpp"
 #include "reclaim/eras.hpp"
 #include "reclaim/qsbr.hpp"
@@ -45,8 +44,8 @@ struct Pending {
 struct DomainOptions {
   /// QSBR: the domain to defer into (nullptr = Qsbr::global()).
   Qsbr* qsbr = nullptr;
-  /// EBR: deadline/backoff of retire()'s grace-period drain.
-  StallPolicy stall_policy{};
+  /// EBR: deadline of retire()'s grace-period drain (0 = block).
+  std::uint64_t stall_deadline_ns = 0;
   /// Watchdog for stalls and overflow bytes (nullptr = the global one).
   StallMonitor* monitor = nullptr;
 };
@@ -129,7 +128,7 @@ class BankDomain {
 };
 
 /// EBR family (`Ebr`, `LegacyEbr`). retire() bumps the epoch and drains
-/// the old parity under the stall policy; a drain that times out parks
+/// the old parity under the stall deadline; a drain that times out parks
 /// the object on an overflow list, freed once both reader columns have
 /// been seen empty (DESIGN.md §8). fence_drain() always blocks.
 template <typename R>
@@ -140,7 +139,7 @@ class EbrDomain : public BankDomain<R> {
 
  public:
   explicit EbrDomain(rt::Locale& locale, const DomainOptions& opts = {})
-      : BankDomain<R>(locale, opts), policy_(opts.stall_policy) {}
+      : BankDomain<R>(locale, opts), deadline_ns_(opts.stall_deadline_ns) {}
   ~EbrDomain() {
     // External quiescence: every parked object is freeable now.
     note_freed(overflow_.free_all());
@@ -155,7 +154,7 @@ class EbrDomain : public BankDomain<R> {
   bool retire(P* old, std::size_t bytes, std::uint64_t /*birth*/) {
     const auto epoch = bank_.advance_epoch();
     RCUA_SCHED_POINT("reclaim.retire.epoch_bumped");
-    const DrainResult drain = bank_.try_wait_for_readers(epoch, policy_);
+    const DrainResult drain = bank_.wait_for_readers(epoch, deadline_ns_);
     // The drained fast path is only sound while the overflow list is
     // empty: a pending entry means an earlier grace period never
     // completed, so a reader announced on the *other* parity may have
@@ -177,20 +176,17 @@ class EbrDomain : public BankDomain<R> {
     // (premise broken by an earlier stall) is bookkeeping, not news.
     if (!drain.drained) monitor_->record_stall(diag);
     if (monitor_->would_exceed(bytes)) {
-      monitor_->escalate(diag);  // aborts under kFatal
+      monitor_->escalate(diag);
       if (monitor_->escalation() == StallMonitor::Escalation::kBlock) {
         // Hard memory bound: refuse the overflow and pay the blocking
         // drain instead. Draining the overflow list first restores the
         // fast-path premise, after which `old`'s own column gates it.
-        plat::Backoff backoff(/*yield_threshold=*/4);
-        for (;;) {
+        // Each poll flushes, banking column observations for the list.
+        wait_with_policy("ebr.retire.block", /*deadline_ns=*/0, [&] {
           flush();
-          if (overflow_.pending_objects() == 0 &&
-              bank_.readers_at(static_cast<std::size_t>(epoch % 2)) == 0) {
-            break;
-          }
-          backoff.pause();
-        }
+          return overflow_.pending_objects() == 0 &&
+                 bank_.readers_at(static_cast<std::size_t>(epoch % 2)) == 0;
+        });
         free_retired(old);
         return false;
       }
@@ -239,7 +235,7 @@ class EbrDomain : public BankDomain<R> {
     monitor_->note_flushed(flushed.bytes, flushed.objects);
   }
 
-  StallPolicy policy_;
+  std::uint64_t deadline_ns_;
   OverflowRetireList overflow_;
 };
 

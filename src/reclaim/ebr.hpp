@@ -9,7 +9,6 @@
 #include "obs/health.hpp"
 #include "obs/trace.hpp"
 #include "platform/align.hpp"
-#include "platform/backoff.hpp"
 #include "platform/timing.hpp"
 #include "platform/topology.hpp"
 #include "reclaim/stall_monitor.hpp"
@@ -26,7 +25,7 @@
 
 namespace rcua::reclaim {
 
-/// Outcome of a deadline-bounded drain (BasicEbr::try_wait_for_readers).
+/// Outcome of a deadline-bounded drain (BasicEbr::wait_for_readers).
 /// On timeout the stuck-stripe fields identify the offender for the
 /// stall diagnostic.
 struct DrainResult {
@@ -237,80 +236,45 @@ class BasicEbr {
   /// evacuated (RCU_Write lines 6-7): the old-parity column, summed over
   /// all stripes, must reach zero. A reader only ever announces and
   /// retracts on a single slot, so a zero sum means every announced
-  /// old-parity reader has retracted. After this returns, memory only
-  /// reachable from the pre-bump snapshot may be reclaimed.
-  void wait_for_readers(EpochT old_epoch) noexcept {
-    const std::size_t idx = static_cast<std::size_t>(old_epoch % 2);
-    if (RCUA_SCHED_MUT(ebr_skip_drain)) return;
-#if defined(RCUA_SCHED_TEST) && RCUA_SCHED_TEST
-    if constexpr (Layout::kStriped) {
-      if (RCUA_SCHED_MUT(ebr_skip_fence) && hoisted_scan_zero_[idx]) {
-        // The hoisted (pre-bump) scan saw an empty column; without the
-        // fence the writer believes the drain already completed.
-        hoisted_scan_zero_[idx] = false;
-        return;
-      }
-    }
-#endif
-    obs::TraceSpan span("rcu.drain_wait", "rcu");
-    const std::uint64_t grace_start = grace_clock_ns();
-    if (!RCUA_SCHED_AWAIT("ebr.wait_for_readers",
-                          [&] { return column_sum(idx) == 0; })) {
-      plat::Backoff backoff(/*yield_threshold=*/4);
-      while (column_sum(idx) != 0) {
-        backoff.pause();
-      }
-    }
-    sim::charge(sim::CostModel::get().epoch_drain_ns);
-    obs::health::grace_ns().record(grace_clock_ns() - grace_start);
-  }
-
-  /// Deadline-bounded variant of wait_for_readers: drains the old-parity
-  /// column under `policy`'s spin -> yield -> park backoff, giving up
-  /// once the deadline expires (a blocking policy never gives up, making
-  /// this equivalent to wait_for_readers). On timeout the result carries
-  /// the stall evidence — the column sum and the first stuck stripe — so
-  /// the caller can emit a StallDiagnostic and defer the retired memory
-  /// onto an OverflowRetireList instead of blocking forever.
-  DrainResult try_wait_for_readers(EpochT old_epoch,
-                                   const StallPolicy& policy) noexcept {
+  /// old-parity reader has retracted. After a drained return, memory
+  /// only reachable from the pre-bump snapshot may be reclaimed.
+  ///
+  /// `deadline_ns` of 0 blocks until the column drains. Otherwise the
+  /// wait gives up once the deadline expires (wait_with_policy), and the
+  /// result carries the stall evidence — the column sum and the first
+  /// stuck stripe — so the caller can emit a StallDiagnostic and defer
+  /// the retired memory onto an OverflowRetireList.
+  DrainResult wait_for_readers(EpochT old_epoch,
+                               std::uint64_t deadline_ns = 0) noexcept {
     const std::size_t idx = static_cast<std::size_t>(old_epoch % 2);
     DrainResult result;
     if (RCUA_SCHED_MUT(ebr_skip_drain)) return result;
 #if defined(RCUA_SCHED_TEST) && RCUA_SCHED_TEST
     if constexpr (Layout::kStriped) {
       if (RCUA_SCHED_MUT(ebr_skip_fence) && hoisted_scan_zero_[idx]) {
+        // The hoisted (pre-bump) scan saw an empty column; without the
+        // fence the writer believes the drain already completed.
         hoisted_scan_zero_[idx] = false;
         return result;
       }
     }
 #endif
     obs::TraceSpan span("rcu.drain_wait", "rcu");
+    const std::uint64_t grace_start = grace_clock_ns();
     const std::uint64_t start = plat::now_ns();
-    result.drained = wait_with_policy("ebr.try_wait_for_readers", policy,
+    result.drained = wait_with_policy("ebr.wait_for_readers", deadline_ns,
                                       [&] { return column_sum(idx) == 0; });
     result.waited_ns = plat::now_ns() - start;
-    // Timed-out waits record the full deadline spent: the tail of the
-    // grace histogram is the stalled-reader signal.
-    obs::health::grace_ns().record(result.waited_ns);
     if (result.drained) {
       sim::charge(sim::CostModel::get().epoch_drain_ns);
-      return result;
+    } else {
+      result.stuck_readers = column_sum(idx);
+      result.stuck_stripe = first_stripe_at(idx);
     }
-    result.stuck_readers = column_sum(idx);
-    result.stuck_stripe = scan_stalled_stripe(idx);
+    // Timed-out waits record the full deadline spent: the tail of the
+    // grace histogram is the stalled-reader signal.
+    obs::health::grace_ns().record(grace_clock_ns() - grace_start);
     return result;
-  }
-
-  /// First stripe currently holding a non-zero count at `parity`;
-  /// SIZE_MAX when the column is empty. Watchdog detection surface.
-  [[nodiscard]] std::size_t scan_stalled_stripe(std::size_t parity) const
-      noexcept {
-    const std::size_t idx = parity % 2;
-    for (std::size_t s = 0; s < stripes_; ++s) {
-      if (slots_[s * 2 + idx]->load(std::memory_order_acquire) != 0) return s;
-    }
-    return SIZE_MAX;
   }
 
   /// advance + drain in one call ("synchronize_rcu").
@@ -362,13 +326,6 @@ class BasicEbr {
     std::size_t p = 1;
     while (p < n && p < 256) p <<= 1;
     return p;
-  }
-
-  /// Grace/dwell timestamps follow the trace-layer convention: virtual
-  /// time when a TaskClock is attached (deterministic under the sched
-  /// harness), wall time otherwise. Reading now_v() charges nothing.
-  [[nodiscard]] static std::uint64_t grace_clock_ns() noexcept {
-    return sim::enabled() ? sim::now_v() : plat::now_ns();
   }
 
   /// Dwell timing costs two clock reads per read section, so it is
@@ -444,6 +401,15 @@ class BasicEbr {
   void retract(std::size_t slot) noexcept {
     slots_[slot]->fetch_sub(1, reader_rmw_order());
     charge_reader_rmw(slot);
+  }
+
+  /// First stripe holding a non-zero count at `idx`; SIZE_MAX when the
+  /// column is empty (the drain's stall evidence).
+  [[nodiscard]] std::size_t first_stripe_at(std::size_t idx) const noexcept {
+    for (std::size_t s = 0; s < stripes_; ++s) {
+      if (slots_[s * 2 + idx]->load(std::memory_order_acquire) != 0) return s;
+    }
+    return SIZE_MAX;
   }
 
   [[nodiscard]] std::uint64_t column_sum(std::size_t idx) const noexcept {

@@ -9,8 +9,8 @@
 // Both schemes share one mechanism, so both are instantiations of
 // `BasicEraReclaimer`:
 //
-//  * A monotone per-domain **era clock**, bumped (amortized, default
-//    every retire) on the write side. No reader ever advances it.
+//  * A monotone per-domain **era clock**, bumped once per retire on the
+//    write side. No reader ever advances it.
 //  * Every retired object carries an era **lifetime tag** [birth,
 //    retire]: `birth` is the era current when the object was allocated
 //    (stamped by the owner before publication), `retire` the era current
@@ -30,8 +30,7 @@
 //    reservation: birth(p) <= era(load) <= e, and any retire of p after
 //    the load stamps retire(p) >= e (the era did not move between the
 //    publish and the verify, and it never decreases). Hence the interval
-//    overlap check below covers every protected object even though the
-//    era bump is amortized.
+//    overlap check below covers every protected object.
 //  * `retire()` appends to a per-domain list and scans it against the
 //    live reservations: an entry [b, r] stays **blocked** while some
 //    reservation [lo, hi] satisfies `lo <= r && b <= hi`; everything
@@ -82,11 +81,9 @@
 #include "obs/health.hpp"
 #include "obs/trace.hpp"
 #include "platform/align.hpp"
-#include "platform/backoff.hpp"
 #include "platform/spinlock.hpp"
 #include "platform/timing.hpp"
 #include "platform/topology.hpp"
-#include "reclaim/ebr.hpp"  // DrainResult (shared drain-wait shape)
 #include "reclaim/stall_monitor.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/resource.hpp"
@@ -307,9 +304,8 @@ class BasicEraReclaimer {
   }
 
   /// Retires `(deleter, obj)` with allocation-era tag `birth_era`,
-  /// stamps the retire era, ticks the (amortized) era clock and — once
-  /// `scan_threshold` entries are pending — scans against the live
-  /// reservations. NEVER waits on readers: where EBR's writer drains a
+  /// stamps the retire era, ticks the era clock and scans against the
+  /// live reservations. NEVER waits on readers: where EBR's writer drains a
   /// parity column, this returns in O(slots + pending) with everything
   /// unblocked freed and the blocked remainder carried as pending (the
   /// bounded-by-construction contract).
@@ -321,23 +317,13 @@ class BasicEraReclaimer {
                        era_.value.load(std::memory_order_seq_cst)});
     }
     retired_.value.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t objects =
-        pending_objects_.value.fetch_add(1, std::memory_order_relaxed) + 1;
-    const std::size_t now_bytes =
+    pending_objects_.value.fetch_add(1, std::memory_order_relaxed);
+    note_pending_hwm(
         pending_bytes_.value.fetch_add(bytes, std::memory_order_relaxed) +
-        bytes;
-    note_pending_hwm(now_bytes);
+        bytes);
     RCUA_SCHED_POINT("era.retire");
-    if (++retires_since_advance_ >= era_freq_) {
-      retires_since_advance_ = 0;
-      advance_era();
-    }
-    if (objects >= scan_threshold_) return scan();
-    RetireResult out;
-    out.era = current_era();
-    out.pending_objects = objects;
-    out.pending_bytes = now_bytes;
-    return out;
+    advance_era();
+    return scan();
   }
 
   /// Scans the retire list against a snapshot of the live reservations,
@@ -345,7 +331,7 @@ class BasicEraReclaimer {
   /// exclusion (the list lock serializes concurrent scans), but the
   /// normal caller is the structure's (write-locked) retire path.
   RetireResult scan() {
-    const std::uint64_t t0 = scan_clock_ns();
+    const std::uint64_t t0 = grace_clock_ns();
     RCUA_SCHED_POINT("era.scan");
     RetireResult out;
     std::vector<Retired> freeable;
@@ -380,8 +366,8 @@ class BasicEraReclaimer {
         bool blocked = false;
         for (const Interval& r : scratch_) {
           // Lifetime [b, r] overlaps reservation [lo, hi]. Inclusive on
-          // both ends: with the amortized clock a protect and a retire
-          // can share one era, and equality must block (header comment).
+          // both ends: a protect and a retire can share one era (the
+          // retire stamps before it bumps), and equality must block.
           if (r.lower <= e.retire_era && e.birth_era <= r.upper) {
             blocked = true;
             break;
@@ -412,7 +398,7 @@ class BasicEraReclaimer {
     scans_.value.fetch_add(1, std::memory_order_relaxed);
     sim::charge(sim::CostModel::get().atomic_load_ns *
                 static_cast<double>(nslots_));
-    obs::health::era_scan_ns().record(scan_clock_ns() - t0);
+    obs::health::era_scan_ns().record(grace_clock_ns() - t0);
     out.pending_objects =
         pending_objects_.value.load(std::memory_order_relaxed);
     out.pending_bytes = pending_bytes_.value.load(std::memory_order_relaxed);
@@ -436,15 +422,6 @@ class BasicEraReclaimer {
     return n;
   }
 
-  /// First slot holding a reservation below `fence` (SIZE_MAX = none).
-  [[nodiscard]] std::size_t scan_stalled_slot(std::uint64_t fence) const
-      noexcept {
-    for (std::size_t s = 0; s < nslots_; ++s) {
-      if (entry_era(s) < fence) return s;
-    }
-    return SIZE_MAX;
-  }
-
   /// Blocks until no reservation predates `fence` (mint the fence with
   /// advance_era() AFTER unpublishing). Used by RCUArray::resize_remove,
   /// whose dropped blocks are shared across locales and therefore cannot
@@ -452,36 +429,11 @@ class BasicEraReclaimer {
   /// path, mirroring the EBR behaviour documented in DESIGN.md §8.
   void wait_for_readers(std::uint64_t fence) noexcept {
     obs::TraceSpan span("rcu.drain_wait", "rcu");
-    const std::uint64_t t0 = scan_clock_ns();
-    if (!RCUA_SCHED_AWAIT("era.wait_for_readers",
-                          [&] { return readers_below(fence) == 0; })) {
-      plat::Backoff backoff(/*yield_threshold=*/4);
-      while (readers_below(fence) != 0) backoff.pause();
-    }
+    const std::uint64_t t0 = grace_clock_ns();
+    wait_with_policy("era.wait_for_readers", /*deadline_ns=*/0,
+                     [&] { return readers_below(fence) == 0; });
     sim::charge(sim::CostModel::get().epoch_drain_ns);
-    obs::health::grace_ns().record(scan_clock_ns() - t0);
-  }
-
-  /// Deadline-bounded fence wait, same policy machinery as EBR's
-  /// try_wait_for_readers. Era retirement itself never needs this (the
-  /// retire path is wait-free with respect to readers); it exists for
-  /// callers that want a bounded version of the resize_remove fence.
-  DrainResult try_wait_for_readers(std::uint64_t fence,
-                                   const StallPolicy& policy) noexcept {
-    DrainResult result;
-    obs::TraceSpan span("rcu.drain_wait", "rcu");
-    const std::uint64_t start = plat::now_ns();
-    result.drained = wait_with_policy("era.try_wait_for_readers", policy,
-                                      [&] { return readers_below(fence) == 0; });
-    result.waited_ns = plat::now_ns() - start;
-    obs::health::grace_ns().record(result.waited_ns);
-    if (result.drained) {
-      sim::charge(sim::CostModel::get().epoch_drain_ns);
-      return result;
-    }
-    result.stuck_readers = readers_below(fence);
-    result.stuck_stripe = scan_stalled_slot(fence);
-    return result;
+    obs::health::grace_ns().record(grace_clock_ns() - t0);
   }
 
   /// Frees the whole retire list unconditionally. ONLY safe under
@@ -541,18 +493,6 @@ class BasicEraReclaimer {
             s.upper.load(std::memory_order_seq_cst)};
   }
 
-  /// Era-clock bump cadence: advance every `n` retires (default 1 —
-  /// RCUArray retires whole spines, so per-retire precision is cheap and
-  /// keeps the stalled-reader bound at its tightest). Larger values
-  /// amortize the bump for fine-grained structures.
-  void set_era_freq(std::uint64_t n) noexcept {
-    era_freq_ = n == 0 ? 1 : n;
-  }
-  /// Scan cadence: scan once `n` entries are pending (default 1).
-  void set_scan_threshold(std::size_t n) noexcept {
-    scan_threshold_ = n == 0 ? 1 : n;
-  }
-
   [[nodiscard]] Stats stats() const noexcept {
     Stats s;
 #if RCUA_ERA_STATS
@@ -604,12 +544,6 @@ class BasicEraReclaimer {
     return p < 2 ? 2 : p;
   }
 
-  /// Scan/grace timestamps follow the trace-layer convention: virtual
-  /// time when a TaskClock is attached, wall time otherwise.
-  [[nodiscard]] static std::uint64_t scan_clock_ns() noexcept {
-    return sim::enabled() ? sim::now_v() : plat::now_ns();
-  }
-
   /// Slot `s`'s section-entry era: the published lower bound, falling
   /// back to the upper (mid-publish), kIdleEra when the slot holds no
   /// reservation. A mid-protect claimant with both bounds idle holds
@@ -639,7 +573,6 @@ class BasicEraReclaimer {
 
   std::size_t claim_slot() {
     const std::size_t start = preferred_slot();
-    plat::Backoff backoff(/*yield_threshold=*/4);
     for (;;) {
       for (std::size_t i = 0; i < nslots_; ++i) {
         const std::size_t idx = (start + i) & slot_mask_;
@@ -653,16 +586,14 @@ class BasicEraReclaimer {
         }
       }
       // Every slot claimed: the domain is at its concurrent-reader bound.
-      if (!RCUA_SCHED_AWAIT("era.slot.wait", [&] {
-            for (std::size_t s = 0; s < nslots_; ++s) {
-              if (slots_[s].claimed.load(std::memory_order_acquire) == 0) {
-                return true;
-              }
-            }
-            return false;
-          })) {
-        backoff.pause();
-      }
+      wait_with_policy("era.slot.wait", /*deadline_ns=*/0, [&] {
+        for (std::size_t s = 0; s < nslots_; ++s) {
+          if (slots_[s].claimed.load(std::memory_order_acquire) == 0) {
+            return true;
+          }
+        }
+        return false;
+      });
     }
   }
 
@@ -724,10 +655,6 @@ class BasicEraReclaimer {
   plat::CacheAligned<std::atomic<std::size_t>> pending_objects_{};
   plat::CacheAligned<std::atomic<std::size_t>> pending_bytes_{};
   plat::CacheAligned<std::atomic<std::size_t>> pending_bytes_hwm_{};
-  /// Era-bump cadence state; written only under the caller's write lock.
-  std::uint64_t era_freq_ = 1;
-  std::uint64_t retires_since_advance_ = 0;
-  std::size_t scan_threshold_ = 1;
   mutable plat::Spinlock lock_;
   std::vector<Retired> list_;     // guarded by lock_
   std::vector<Interval> scratch_;  // guarded by lock_ (scan reuse)

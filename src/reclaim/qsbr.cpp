@@ -5,6 +5,7 @@
 
 #include "obs/health.hpp"
 #include "obs/trace.hpp"
+#include "reclaim/stall_monitor.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/task_clock.hpp"
 #include "testing/sched_point.hpp"
@@ -96,7 +97,7 @@ std::size_t Qsbr::checkpoint() {
   return freed;
 }
 
-Qsbr::SyncResult Qsbr::try_synchronize(const StallPolicy& policy) {
+void Qsbr::synchronize() {
   rt::DomainSlot& slot = participate();
   // Invalidate the current state so every participant has a fresh epoch
   // to observe; the bump's value is the quiescence target. Observe it
@@ -106,43 +107,12 @@ Qsbr::SyncResult Qsbr::try_synchronize(const StallPolicy& policy) {
   assert(e != 0 && "StateEpoch overflow is undefined behaviour (paper fn.5)");
   RCUA_SCHED_POINT("qsbr.synchronize.epoch_bumped");
   slot.observed_epoch.store(e, std::memory_order_release);
-  SyncResult result;
-  result.target_epoch = e;
   obs::TraceSpan span("rcu.drain_wait", "rcu");
-  const std::uint64_t start = plat::now_ns();
-  result.quiesced =
-      wait_with_policy("qsbr.try_synchronize", policy, [&] {
-        return registry_.min_observed_epoch(slot_, e) >= e;
-      });
-  result.waited_ns = plat::now_ns() - start;
-  obs::health::grace_ns().record(result.waited_ns);
-  if (!result.quiesced) {
-    const LaggardReport report = scan_laggards(e);
-    result.laggards = report.count;
-    result.laggard = report.first;
-    result.laggard_observed = report.first_observed;
-    obs::health::epoch_lag().update_max(e - result.laggard_observed);
-  }
-  return result;
-}
-
-Qsbr::LaggardReport Qsbr::scan_laggards(std::uint64_t target_epoch) const {
-  LaggardReport report;
-  for (const rt::ThreadRecord* rec = registry_.head(); rec != nullptr;
-       rec = rec->next) {
-    if (rec->parked.load(std::memory_order_acquire)) continue;
-    const rt::DomainSlot& slot = rec->slots[slot_];
-    if (!slot.active.load(std::memory_order_acquire)) continue;
-    const std::uint64_t seen =
-        slot.observed_epoch.load(std::memory_order_acquire);
-    if (seen >= target_epoch) continue;
-    if (report.count == 0) {
-      report.first = rec;
-      report.first_observed = seen;
-    }
-    ++report.count;
-  }
-  return report;
+  const std::uint64_t start = grace_clock_ns();
+  wait_with_policy("qsbr.synchronize", /*deadline_ns=*/0, [&] {
+    return registry_.min_observed_epoch(slot_, e) >= e;
+  });
+  obs::health::grace_ns().record(grace_clock_ns() - start);
 }
 
 std::size_t Qsbr::pending_on_this_thread() {

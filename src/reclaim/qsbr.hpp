@@ -5,7 +5,6 @@
 
 #include "platform/align.hpp"
 #include "reclaim/retire_list.hpp"
-#include "reclaim/stall_monitor.hpp"
 #include "runtime/thread_registry.hpp"
 
 namespace rcua::reclaim {
@@ -71,27 +70,6 @@ class Qsbr final : public rt::EpochDomain {
   using TestHook = void (*)(Qsbr&, int phase);
   TestHook test_hook = nullptr;
 
-  /// Outcome of a deadline-bounded synchronize (try_synchronize). On
-  /// timeout the laggard fields identify who is gating the minimum.
-  struct SyncResult {
-    bool quiesced = true;
-    /// The StateEpoch every participant must observe.
-    std::uint64_t target_epoch = 0;
-    std::uint64_t waited_ns = 0;
-    /// Laggards at expiry: count, the first one's record and its epoch.
-    std::uint64_t laggards = 0;
-    const rt::ThreadRecord* laggard = nullptr;
-    std::uint64_t laggard_observed = 0;
-  };
-
-  /// Report on threads gating quiescence at `target_epoch` — the
-  /// watchdog's QSBR detection surface.
-  struct LaggardReport {
-    std::uint64_t count = 0;
-    const rt::ThreadRecord* first = nullptr;
-    std::uint64_t first_observed = 0;
-  };
-
   /// QSBR_Defer: schedules `delete obj` once every thread has observed a
   /// state no older than the one this call creates.
   template <typename T>
@@ -117,17 +95,7 @@ class Qsbr final : public rt::EpochDomain {
   /// Blocks until every participant has observed a state no older than
   /// the one current at entry (bumping the StateEpoch so laggards have a
   /// fresh state to observe). The QSBR analogue of Ebr::synchronize.
-  void synchronize() { (void)try_synchronize(StallPolicy{}); }
-
-  /// Deadline-bounded synchronize: waits under `policy` for every
-  /// participant to catch up; a blocking policy never gives up. On
-  /// timeout, reports the laggards gating the minimum so the caller can
-  /// emit a StallDiagnostic instead of blocking forever.
-  SyncResult try_synchronize(const StallPolicy& policy);
-
-  /// Participants whose observed epoch is still below `target_epoch`
-  /// (active and non-parked — parked threads never gate the minimum).
-  [[nodiscard]] LaggardReport scan_laggards(std::uint64_t target_epoch) const;
+  void synchronize();
 
   /// Makes the calling thread a participant (visible to the safe-epoch
   /// minimum) if it isn't already. The paper's model has *every* thread

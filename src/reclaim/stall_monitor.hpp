@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -12,83 +13,78 @@
 #include "platform/backoff.hpp"
 #include "platform/spinlock.hpp"
 #include "platform/timing.hpp"
+#include "sim/task_clock.hpp"
 #include "testing/sched_point.hpp"
 
 namespace rcua::reclaim {
 
-/// Deadline/backoff policy for grace-period waits — the knob that turns
-/// "block forever on a stalled reader" (classic EBR fragility, the DEBRA+
-/// critique) into "give up after a bounded wait and let the caller defer".
-///
-/// The wait escalates spin -> yield -> park-with-exponential-backoff; a
-/// `deadline_ns` of 0 keeps the historical blocking behaviour, so every
-/// existing call site is unchanged unless a policy is configured.
+/// The fixed escalation ladder of every grace-period wait: spins, then
+/// yields, then parks of kParkMinNs doubling up to kParkMaxNs.
+inline constexpr std::uint32_t kWaitSpins = 64;
+inline constexpr std::uint32_t kWaitYields = 64;
+inline constexpr std::uint64_t kParkMinNs = 50 * 1000;
+inline constexpr std::uint64_t kParkMaxNs = 1000 * 1000;
+
+/// The one grace-period wait: every reclaimer's drain goes through it.
+/// Waits until `pred()` holds, climbing the ladder above. A `deadline_ns`
+/// of 0 blocks (the paper's behaviour); otherwise the wait gives up once
+/// the wall-clock deadline expires — the knob that turns "block forever
+/// on a stalled reader" (classic EBR fragility, the DEBRA+ critique)
+/// into "give up and let the caller defer". A park never sleeps past the
+/// remaining deadline. Returns true iff the predicate held; `site` names
+/// the wait in sched traces.
 ///
 /// Under the deterministic scheduler (RCUA_SCHED_TEST) wall clocks would
-/// break seed replay, so a non-blocking wait instead polls the predicate
-/// `sched_polls` times, yielding to the scheduler between polls — the
+/// break seed replay: a blocking wait is a sched_await, and a deadline
+/// wait polls once, yields to the scheduler, and polls again — the
 /// deadline becomes a schedule-countable event.
-struct StallPolicy {
-  /// Wall-clock budget for a grace-period wait; 0 = block forever.
-  std::uint64_t deadline_ns = 0;
-  /// Pure cpu_relax iterations before escalating to thread yields.
-  std::uint32_t spin_iters = 64;
-  /// Thread yields before escalating to parking sleeps.
-  std::uint32_t yield_iters = 64;
-  /// First parking sleep; doubles each round up to `park_max_ns`.
-  std::uint64_t park_ns = 50 * 1000;
-  std::uint64_t park_max_ns = 1000 * 1000;
-  /// Non-blocking poll budget under the deterministic scheduler.
-  std::uint32_t sched_polls = 4;
-
-  [[nodiscard]] bool blocking() const noexcept { return deadline_ns == 0; }
-
-  /// Environment-configured policy: RCUA_STALL_DEADLINE_NS,
-  /// RCUA_STALL_SPIN, RCUA_STALL_YIELD, RCUA_STALL_PARK_NS,
-  /// RCUA_STALL_PARK_MAX_NS, RCUA_STALL_SCHED_POLLS. Defaults (deadline 0)
-  /// preserve blocking semantics.
-  [[nodiscard]] static StallPolicy from_env();
-};
-
-/// Waits until `pred()` holds or the policy's deadline expires. Returns
-/// true iff the predicate held. `site` names the wait in sched traces.
 template <typename Pred>
-bool wait_with_policy(const char* site, const StallPolicy& policy,
+bool wait_with_policy(const char* site, std::uint64_t deadline_ns,
                       Pred&& pred) {
 #if defined(RCUA_SCHED_TEST) && RCUA_SCHED_TEST
   if (testing::sched_task_active()) {
-    if (policy.blocking()) {
+    if (deadline_ns == 0) {
       testing::sched_await(site, [&] { return pred(); });
       return true;
     }
-    for (std::uint32_t i = 0; i < policy.sched_polls; ++i) {
-      if (pred()) return true;
-      testing::sched_point(site);
-    }
+    if (pred()) return true;
+    testing::sched_point(site);
     return pred();
   }
 #endif
   (void)site;
   if (pred()) return true;
   const std::uint64_t start = plat::now_ns();
-  std::uint64_t park = policy.park_ns;
-  std::uint64_t iter = 0;
-  for (;;) {
+  std::uint64_t park = kParkMinNs;
+  for (std::uint64_t iter = 0;; ++iter) {
     if (pred()) return true;
-    if (!policy.blocking() && plat::now_ns() - start >= policy.deadline_ns) {
-      return pred();
+    std::uint64_t left = UINT64_MAX;
+    if (deadline_ns != 0) {
+      const std::uint64_t spent = plat::now_ns() - start;
+      if (spent >= deadline_ns) return pred();
+      left = deadline_ns - spent;
     }
-    if (iter < policy.spin_iters) {
+    if (iter < kWaitSpins) {
       plat::cpu_relax();
-    } else if (iter < static_cast<std::uint64_t>(policy.spin_iters) +
-                          policy.yield_iters) {
+    } else if (iter < kWaitSpins + kWaitYields) {
       std::this_thread::yield();
     } else {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(park));
-      if (park < policy.park_max_ns) park = std::min(park * 2, policy.park_max_ns);
+      std::this_thread::sleep_for(
+          std::chrono::nanoseconds(std::min(park, left)));
+      park = std::min(park * 2, kParkMaxNs);
     }
-    ++iter;
   }
+}
+
+/// The drain deadline from RCUA_STALL_DEADLINE_NS; 0 (block forever, the
+/// paper's behaviour) when unset.
+[[nodiscard]] std::uint64_t stall_deadline_from_env();
+
+/// Grace-period timestamps follow the trace-layer convention: virtual
+/// time when a TaskClock is attached (deterministic under the sched
+/// harness), wall time otherwise. Reading now_v() charges nothing.
+[[nodiscard]] inline std::uint64_t grace_clock_ns() noexcept {
+  return sim::enabled() ? sim::now_v() : plat::now_ns();
 }
 
 /// Structured description of one detected stall: who is stuck, where,
@@ -98,34 +94,27 @@ struct StallDiagnostic {
   enum class Kind : int {
     /// An EBR old-parity column refused to drain before the deadline.
     kEbrReader = 0,
-    /// A QSBR participant has not observed the target StateEpoch.
-    kQsbrLaggard = 1,
     /// The overflow retire list exceeded its byte budget.
-    kOverflowBudget = 2,
+    kOverflowBudget = 1,
     /// An era reservation (IBR / hazard eras) trails the era clock far
     /// enough to hold retired objects pending. Unlike the kinds above
     /// this never gates progress or defers to an overflow list — the
     /// pending set is bounded by construction — so it is purely
     /// diagnostic: the stalled reader exists and should be found.
-    kEraReservation = 3,
+    kEraReservation = 2,
   };
 
   Kind kind = Kind::kEbrReader;
-  /// The reclamation domain instance (Ebr / Qsbr) that stalled.
+  /// The reclamation domain instance (Ebr / era reclaimer) that stalled.
   const void* domain = nullptr;
   /// Locale the stall was observed on; UINT32_MAX when not locale-bound.
   std::uint32_t locale = UINT32_MAX;
-  /// Epoch being drained (EBR: the pre-bump epoch; QSBR: target epoch).
+  /// Epoch being drained (EBR: the pre-bump epoch; eras: the era clock).
   std::uint64_t epoch = 0;
   /// EBR: first stripe with a non-zero old-parity count (SIZE_MAX = n/a).
   std::size_t stripe = SIZE_MAX;
   /// EBR: old-parity column sum at deadline expiry.
   std::uint64_t stuck_readers = 0;
-  /// QSBR: the first laggard's ThreadRecord and its observed epoch.
-  const void* thread = nullptr;
-  std::uint64_t thread_observed = 0;
-  /// QSBR: how many laggards gate the minimum.
-  std::uint64_t laggards = 0;
   /// How long the waiter spun before giving up.
   std::uint64_t waited_ns = 0;
   /// Overflow-budget escalations: bytes pending vs the configured budget.
@@ -136,7 +125,7 @@ struct StallDiagnostic {
   /// the blocked-pending bytes).
   std::uint64_t era_lag = 0;
 
-  /// One-line human-readable rendering ("which stripe/thread is stuck,
+  /// One-line human-readable rendering ("which stripe is stuck,
   /// for how long, at what epoch").
   [[nodiscard]] std::string describe() const;
 };
@@ -179,13 +168,12 @@ class CaptureStallSink final : public StallSink {
 ///
 ///   kWarn  — diagnose and allow the overflow to keep growing,
 ///   kBlock — refuse the overflow; the caller must fall back to the
-///            blocking wait (memory stays bounded, latency degrades),
-///   kFatal — abort: treat a budget breach as a failed domain.
+///            blocking wait (memory stays bounded, latency degrades).
 ///
 /// Thread-safe; one instance may be shared across locales and domains.
 class StallMonitor {
  public:
-  enum class Escalation : int { kWarn = 0, kBlock = 1, kFatal = 2 };
+  enum class Escalation : int { kWarn = 0, kBlock = 1 };
 
   explicit StallMonitor(std::size_t budget_bytes = 0,
                         Escalation escalation = Escalation::kBlock) noexcept
@@ -195,7 +183,7 @@ class StallMonitor {
 
   /// Process-wide monitor; budget from RCUA_OVERFLOW_BUDGET_BYTES
   /// (default 64 MiB), escalation from RCUA_STALL_ESCALATE
-  /// (warn|block|fatal, default block).
+  /// (warn|block, default block).
   static StallMonitor& global();
 
   /// Replaces the diagnostic sink (default: a process-wide
@@ -247,7 +235,7 @@ class StallMonitor {
   [[nodiscard]] StallDiagnostic last() const;
 
   /// Records a budget escalation (kind kOverflowBudget) and bumps the
-  /// escalation counter; aborts under kFatal.
+  /// escalation counter.
   void escalate(StallDiagnostic diag);
 
  private:

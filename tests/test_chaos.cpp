@@ -60,8 +60,7 @@ TEST(Chaos, StalledReaderAndKilledWorkerDoNotHangResize) {
 
   rcua::RCUArray<int, rcua::EbrPolicy>::Options opts;
   opts.block_size = 64;
-  opts.stall_policy.deadline_ns = 2 * 1000 * 1000;  // 2 ms
-  opts.stall_policy.park_ns = 50 * 1000;
+  opts.stall_deadline_ns = 2 * 1000 * 1000;  // 2 ms
   opts.stall_monitor = &monitor;
   rcua::RCUArray<int, rcua::EbrPolicy> arr(cluster, 4 * 64, opts);
   for (std::size_t i = 0; i < arr.capacity(); ++i) {
@@ -267,7 +266,7 @@ TEST(Chaos, BudgetBreachFallsBackToBlockingDrain) {
 
   rcua::RCUArray<int, rcua::EbrPolicy>::Options opts;
   opts.block_size = 32;
-  opts.stall_policy.deadline_ns = 1 * 1000 * 1000;  // 1 ms
+  opts.stall_deadline_ns = 1 * 1000 * 1000;  // 1 ms
   opts.stall_monitor = &monitor;
   rcua::RCUArray<int, rcua::EbrPolicy> arr(cluster, 32, opts);
 

@@ -287,6 +287,27 @@ TEST(RcuArrayEbr, FailedMultiBlockResizeFreesAllocatedBlocks) {
   }
 }
 
+TEST(RcuArrayEbr, FailedConstructionReleasesEverything) {
+  // A constructor that throws runs no destructor: the per-locale copies,
+  // their snapshots and the privatization PID must be released anyway.
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+  const std::uint32_t pids = cluster.privatization().live_pids();
+  const std::uint64_t live0 = cluster.locale(0).bytes_live();
+  const std::uint64_t live1 = cluster.locale(1).bytes_live();
+  ThrowingElem::budget = 0;  // the initial grow's first element throws
+  EXPECT_THROW((RCUArray<ThrowingElem, EbrPolicy>(cluster, 8,
+                                                  {.block_size = 8})),
+               std::runtime_error);
+  ThrowingElem::budget = -1;
+  EXPECT_EQ(cluster.privatization().live_pids(), pids);
+  EXPECT_EQ(cluster.locale(0).bytes_live(), live0);
+  EXPECT_EQ(cluster.locale(1).bytes_live(), live1);
+  // Rejected options release the PID too.
+  EXPECT_THROW((RCUArray<int, EbrPolicy>(cluster, 0, {.block_size = 0})),
+               std::invalid_argument);
+  EXPECT_EQ(cluster.privatization().live_pids(), pids);
+}
+
 TEST(RcuArrayEbr, ConcurrentReserveGrowsOnce) {
   constexpr std::size_t kBlock = 8;
   rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});

@@ -170,20 +170,20 @@ TYPED_TEST(EraDomainTest, FenceWaitSeesPreFenceSection) {
   const std::uint64_t fence = dom.advance_era();
   EXPECT_EQ(dom.readers_below(fence), 1u);
 
-  reclaim::StallPolicy policy;
-  policy.deadline_ns = 1;  // effectively immediate give-up
-  policy.spin_iters = 1;
-  policy.yield_iters = 1;
-  const auto drain = dom.try_wait_for_readers(fence, policy);
-  EXPECT_FALSE(drain.drained);
-  EXPECT_EQ(drain.stuck_readers, 1u);
-  EXPECT_NE(drain.stuck_stripe, SIZE_MAX);
+  // The fence wait blocks while the pre-fence section lives.
+  std::atomic<bool> drained{false};
+  std::thread waiter([&] {
+    dom.wait_for_readers(fence);
+    drained.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_FALSE(drained.load());
 
   guard.reset();
+  waiter.join();
+  EXPECT_TRUE(drained.load());
   EXPECT_EQ(dom.readers_below(fence), 0u);
   dom.wait_for_readers(fence);  // must return immediately
-  const auto ok = dom.try_wait_for_readers(fence, policy);
-  EXPECT_TRUE(ok.drained);
 }
 
 TYPED_TEST(EraDomainTest, SlotClaimProbesPastTakenSlots) {
@@ -352,10 +352,7 @@ TEST(EraContrast, EbrOverflowGrowsLinearlyUnderParkedReader) {
   opts.stall_monitor = &sm.monitor;
   // Non-blocking drain, so the parked view defers instead of hanging
   // the resize train (the §9 watchdog path).
-  opts.stall_policy.deadline_ns = 1;
-  opts.stall_policy.spin_iters = 1;
-  opts.stall_policy.yield_iters = 1;
-  opts.stall_policy.park_ns = 1000;
+  opts.stall_deadline_ns = 1;
   rcua::RCUArray<int, rcua::EbrPolicy> arr(cluster, 64, opts);
 
   constexpr int kResizes = 24;
@@ -428,8 +425,7 @@ struct DomainContract {
     opts.qsbr = &qsbr;
     opts.monitor = &sm.monitor;
     // EBR retire must park, not block, behind the pinned reader.
-    opts.stall_policy.deadline_ns = 1000 * 1000;
-    opts.stall_policy.park_ns = 20 * 1000;
+    opts.stall_deadline_ns = 1000 * 1000;
   }
 
   /// Pins `src` on a reader thread and publishes the pinned pointer,

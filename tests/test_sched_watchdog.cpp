@@ -60,9 +60,6 @@ void reader_once(Arena& a) {
 /// drain; on timeout (or with entries already deferred) defer the old
 /// snapshot and try an opportunistic two-column flush.
 void writer_rounds(Arena& a, std::size_t rounds) {
-  rcua::reclaim::StallPolicy policy;
-  policy.deadline_ns = 1;  // non-blocking: give up after `sched_polls`
-  policy.sched_polls = 1;
   auto drained = [&](std::size_t parity) {
     return a.ebr.readers_at(parity) == 0;
   };
@@ -71,7 +68,8 @@ void writer_rounds(Arena& a, std::size_t rounds) {
     rcua::testing::sched_point("test.writer.publish");
     a.current.store(r, std::memory_order_seq_cst);
     const auto e = a.ebr.advance_epoch();
-    const auto drain = a.ebr.try_wait_for_readers(e, policy);
+    // Non-blocking: under the scheduler a deadline wait polls once.
+    const auto drain = a.ebr.wait_for_readers(e, /*deadline_ns=*/1);
     // The direct free is only sound while nothing is deferred: a pending
     // entry means an earlier drain never completed, so a reader on the
     // other parity may hold THIS round's victim (DESIGN.md §8).

@@ -101,8 +101,10 @@ class BankDomain {
   template <typename P>
   using Pin = reclaim::Pin<typename R::ReadGuard, P>;
 
-  BankDomain(rt::Locale& locale, const DomainOptions& opts)
-      : locale_(locale),
+  /// `width` is the bank's slot count (0 = R's default).
+  BankDomain(rt::Locale& locale, const DomainOptions& opts, std::size_t width)
+      : bank_(0, width),
+        locale_(locale),
         monitor_(opts.monitor != nullptr ? opts.monitor
                                          : &StallMonitor::global()) {}
   BankDomain(const BankDomain&) = delete;
@@ -121,8 +123,11 @@ class BankDomain {
   /// Read-side stats; `reads`/`read_retries` need -DRCUA_STATS=ON.
   [[nodiscard]] Stats stats() const noexcept { return bank_.stats(); }
 
+  /// The reader bank, for tests that inspect its width and slots.
+  [[nodiscard]] const R& bank() const noexcept { return bank_; }
+
  protected:
-  R bank_{0};
+  R bank_;
   rt::Locale& locale_;
   StallMonitor* monitor_;
 };
@@ -138,8 +143,11 @@ class EbrDomain : public BankDomain<R> {
   using BankDomain<R>::monitor_;
 
  public:
+  /// The bank gets a stripe per worker of the locale (at least the
+  /// host's width), so every simulated core announces on its own line.
   explicit EbrDomain(rt::Locale& locale, const DomainOptions& opts = {})
-      : BankDomain<R>(locale, opts), deadline_ns_(opts.stall_deadline_ns) {}
+      : BankDomain<R>(locale, opts, default_ebr_stripes(locale.workers())),
+        deadline_ns_(opts.stall_deadline_ns) {}
   ~EbrDomain() {
     // External quiescence: every parked object is freeable now.
     note_freed(overflow_.free_all());
@@ -256,7 +264,7 @@ class EraDomain : public BankDomain<R> {
   static constexpr std::uint64_t kStallLagThreshold = 3;
 
   explicit EraDomain(rt::Locale& locale, const DomainOptions& opts = {})
-      : BankDomain<R>(locale, opts) {}
+      : BankDomain<R>(locale, opts, 0) {}
 
   /// Sample BEFORE publishing an object: any reader that can load it
   /// then holds a reservation at or above its birth (the Lemma 6

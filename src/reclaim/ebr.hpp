@@ -38,10 +38,13 @@ struct DrainResult {
   std::uint64_t stuck_readers = 0;
 };
 
-/// Default number of reader-counter stripes: the hardware thread count
-/// rounded up to a power of two (clamped to [1, 256]), overridable with
-/// the RCUA_EBR_STRIPES environment variable (also rounded/clamped).
-[[nodiscard]] std::size_t default_ebr_stripes();
+/// Default number of reader-counter stripes: the larger of the host's
+/// hardware thread count and `min_readers`, rounded up to a power of two
+/// and clamped to [1, 256]. A per-locale bank passes its locale's worker
+/// count as `min_readers`, so in virtual time every simulated core of
+/// the locale gets its own stripe. The RCUA_EBR_STRIPES environment
+/// variable, when set, replaces both counts (also rounded/clamped).
+[[nodiscard]] std::size_t default_ebr_stripes(std::size_t min_readers = 0);
 
 /// Reader-counter layout policies (the A/B knob for the ablation bench).
 ///
@@ -89,7 +92,8 @@ struct LegacyReaders {
 /// registration): the paper attributes EBR's collapse to every reader on
 /// a locale hammering the same two cache lines with seq_cst RMWs.
 /// Hashing each reader onto its own padded slot (plat::stripe_index: the
-/// thread's identity, hashed once and cached in a thread_local) makes
+/// thread's identity, hashed once and cached in a thread_local; under a
+/// coforall_tasks clock, the simulated task's logical slot instead) makes
 /// the announce/retract RMWs almost-always uncontended; summing a column
 /// preserves the drain condition because a reader only ever announces
 /// and retracts on one slot. Memory ordering:
@@ -104,9 +108,12 @@ class BasicEbr {
                 "epochs rely on unsigned wrap-around (Lemma 2)");
 
  public:
-  /// `stripe_count` of 0 means `default_ebr_stripes()`; any other value
-  /// is rounded up to a power of two. LegacyReaders always uses one
-  /// stripe (the original EpochReaders[2] pair).
+  /// `stripe_count` of 0 means `default_ebr_stripes()`, the host's
+  /// width; any other value is rounded up to a power of two (capped at
+  /// 256). A per-locale bank (EbrDomain) passes
+  /// `default_ebr_stripes(locale.workers())`, so it is at least as wide
+  /// as its locale's worker pool. LegacyReaders always uses one stripe
+  /// (the original EpochReaders[2] pair).
   BasicEbr() : BasicEbr(EpochT{0}) {}
   explicit BasicEbr(EpochT initial_epoch, std::size_t stripe_count = 0)
       : stripes_(Layout::kStriped
@@ -152,7 +159,7 @@ class BasicEbr {
   ReadHook test_read_hook = nullptr;
 
   /// Test-only stripe pin: when >= 0, announcements land on this stripe
-  /// (mod stripe count) instead of the thread-hash choice. Lets unit
+  /// (mod stripe count) instead of the task or thread choice. Lets unit
   /// tests place readers on known stripes to exercise the drain's
   /// cross-stripe summation.
   std::int32_t test_stripe_override = -1;
@@ -365,6 +372,13 @@ class BasicEbr {
 #endif
     if (test_stripe_override >= 0) {
       return static_cast<std::size_t>(test_stripe_override) & stripe_mask_;
+    }
+    // In virtual time each simulated task stands for its own core: pick
+    // by logical task so the slot-line charges do not depend on which
+    // pool thread runs it (DESIGN.md §5).
+    if (const sim::TaskClock* c = sim::current();
+        c != nullptr && c->task_slot != sim::TaskClock::kNoSlot) {
+      return c->task_slot & stripe_mask_;
     }
     return plat::stripe_index(stripes_);
   }

@@ -39,7 +39,8 @@ Cluster::Cluster(ClusterConfig config)
       priv_(config.num_locales, config.max_pids) {
   locales_.reserve(config.num_locales);
   for (std::uint32_t l = 0; l < config.num_locales; ++l) {
-    locales_.push_back(std::make_unique<Locale>(l));
+    locales_.push_back(
+        std::make_unique<Locale>(l, config.workers_per_locale));
   }
   pool_ = std::make_unique<TaskPool>(*this, config.num_locales,
                                      config.workers_per_locale);
@@ -158,6 +159,9 @@ void Cluster::coforall_tasks(
 #endif
 
   std::vector<sim::TaskClock> clocks(simulated ? total : 0);
+  for (std::size_t slot = 0; slot < clocks.size(); ++slot) {
+    clocks[slot].task_slot = static_cast<std::uint32_t>(slot);
+  }
   TaskPool::Group group;
   group.add(total);
   // Fan-out model: one pipelined remote launch per locale (the initiator

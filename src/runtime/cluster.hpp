@@ -13,16 +13,20 @@
 
 namespace rcua::rt {
 
-/// One simulated node: identity plus allocation accounting. All memory is
-/// of course in one address space; the owner tag is what drives the
-/// communication model and the locality assertions in tests.
+/// One simulated node: identity, core count and allocation accounting.
+/// All memory is of course in one address space; the owner tag is what
+/// drives the communication model and the locality assertions in tests.
 class Locale {
  public:
-  explicit Locale(std::uint32_t id) noexcept : id_(id) {}
+  explicit Locale(std::uint32_t id, std::uint32_t workers = 1) noexcept
+      : id_(id), workers_(workers) {}
   Locale(const Locale&) = delete;
   Locale& operator=(const Locale&) = delete;
 
   [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
+  /// The locale's worker pool size (ClusterConfig::workers_per_locale):
+  /// the simulated cores whose readers a per-locale bank serves.
+  [[nodiscard]] std::uint32_t workers() const noexcept { return workers_; }
 
   void note_alloc(std::size_t bytes) noexcept {
     allocs_.fetch_add(1, std::memory_order_relaxed);
@@ -45,6 +49,7 @@ class Locale {
 
  private:
   std::uint32_t id_;
+  std::uint32_t workers_;
   std::atomic<std::uint64_t> allocs_{0};
   std::atomic<std::uint64_t> frees_{0};
   std::atomic<std::uint64_t> bytes_{0};
@@ -104,7 +109,9 @@ class Cluster {
   void coforall_locales(const std::function<void(std::uint32_t)>& fn);
 
   /// Runs `fn(locale_id, task_id)` for task_id in [0, tasks_per_locale)
-  /// on every locale, and waits.
+  /// on every locale, and waits. When simulated, each body's clock carries
+  /// its logical slot `locale_id * tasks_per_locale + task_id`
+  /// (TaskClock::task_slot).
   void coforall_tasks(std::uint32_t tasks_per_locale,
                       const std::function<void(std::uint32_t, std::uint32_t)>& fn);
 

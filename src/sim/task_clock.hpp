@@ -14,6 +14,8 @@ namespace rcua::sim {
 ///   total_ops / max over tasks of vtime
 /// which is exactly the makespan of the simulated cluster execution.
 struct TaskClock {
+  static constexpr std::uint32_t kNoSlot = ~0U;
+
   /// Accumulated virtual nanoseconds.
   std::uint64_t vtime_ns = 0;
   /// Identity of the last data block this task touched; drives the
@@ -21,6 +23,12 @@ struct TaskClock {
   std::uint64_t last_block_id = ~0ULL;
   /// Number of charge events (observability / tests).
   std::uint64_t charge_events = 0;
+  /// The simulated task this clock times: `locale * tasks_per_locale +
+  /// task`, stamped by Cluster::coforall_tasks, kNoSlot otherwise. Per-
+  /// reader layouts (the striped EBR bank) pick their slot from it, so
+  /// which slot a task uses does not depend on the OS thread running it.
+  /// An identity, not a measurement: reset() keeps it.
+  std::uint32_t task_slot = kNoSlot;
 
   void reset() noexcept {
     vtime_ns = 0;

@@ -1,20 +1,28 @@
 // Tests specific to the striped reader-counter bank: stripe-count
 // selection (ctor arg, env knob, pow2 rounding), cross-stripe drain
-// summation, Lemma 2 across several bank widths, and the stats
-// aggregation across stripes when compiled in.
+// summation, Lemma 2 across several bank widths, the stats aggregation
+// across stripes when compiled in, and the virtual-time rules: a
+// simulated task announces on the stripe of its logical slot, and a
+// locale's bank is at least as wide as its worker pool.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "platform/topology.hpp"
+#include "reclaim/domain.hpp"
 #include "reclaim/ebr.hpp"
+#include "runtime/cluster.hpp"
+#include "sim/task_clock.hpp"
 
 namespace reclaim = rcua::reclaim;
+namespace rt = rcua::rt;
+namespace sim = rcua::sim;
 
 namespace {
 
@@ -29,6 +37,48 @@ struct ScopedEnv {
   ~ScopedEnv() { ::unsetenv(name_); }
   const char* name_;
 };
+
+using StripedDomain = reclaim::EbrDomain<reclaim::Ebr>;
+
+/// Simulated cores per locale: more than the host has, so a bank as wide
+/// as the host alone would make some of a locale's tasks share a stripe.
+std::uint32_t more_workers_than_the_host() {
+  return rcua::plat::hardware_threads() + 2;
+}
+
+/// One striped domain per locale, as RCUArray keeps them.
+std::vector<std::unique_ptr<StripedDomain>> locale_domains(
+    rt::Cluster& cluster) {
+  std::vector<std::unique_ptr<StripedDomain>> domains;
+  for (std::uint32_t l = 0; l < cluster.num_locales(); ++l) {
+    domains.push_back(std::make_unique<StripedDomain>(cluster.locale(l)));
+  }
+  return domains;
+}
+
+/// Each task's virtual time after `ops` empty read sections on its
+/// locale's domain, run as a simulated coforall_tasks with one task per
+/// worker; indexed by logical slot.
+std::vector<std::uint64_t> section_vtimes(std::uint32_t locales,
+                                          std::uint32_t tasks,
+                                          std::uint64_t ops) {
+  rt::Cluster cluster({.num_locales = locales, .workers_per_locale = tasks});
+  const auto domains = locale_domains(cluster);
+  int payload = 0;
+  std::atomic<int*> src{&payload};
+  std::vector<std::uint64_t> vtimes(static_cast<std::size_t>(locales) * tasks);
+  sim::TaskClock root;
+  {
+    sim::ClockScope scope(root);
+    cluster.coforall_tasks(tasks, [&](std::uint32_t l, std::uint32_t t) {
+      for (std::uint64_t n = 0; n < ops; ++n) {
+        auto pin = domains[l]->pin(src);
+      }
+      vtimes[static_cast<std::size_t>(l) * tasks + t] = sim::now_v();
+    });
+  }
+  return vtimes;
+}
 
 }  // namespace
 
@@ -230,4 +280,83 @@ TEST(StripedEbrStress, ConcurrentReadersAcrossStripesNoUseAfterFree) {
   EXPECT_EQ(violations.load(), 0u);
   EXPECT_EQ(ebr.readers_at(0), 0u);
   EXPECT_EQ(ebr.readers_at(1), 0u);
+}
+
+// -- Virtual time: the bank models the simulated locale, not the host --
+
+TEST(StripedEbrVirtualTime, EachTaskOfALocaleAnnouncesOnItsOwnStripe) {
+  constexpr std::uint32_t kLocales = 2;
+  const std::uint32_t tasks = more_workers_than_the_host();
+  const std::uint32_t total = kLocales * tasks;
+  rt::Cluster cluster({.num_locales = kLocales, .workers_per_locale = tasks});
+  const auto domains = locale_domains(cluster);
+  int payload = 0;
+  std::atomic<int*> src{&payload};
+  std::atomic<std::uint32_t> announced{0};
+  std::atomic<std::uint32_t> checked{0};
+  std::atomic<std::uint32_t> shared_or_missed{0};
+  sim::TaskClock root;
+  {
+    sim::ClockScope scope(root);
+    cluster.coforall_tasks(tasks, [&](std::uint32_t l, std::uint32_t t) {
+      const reclaim::Ebr& bank = domains[l]->bank();
+      const std::size_t stripe =
+          (static_cast<std::size_t>(l) * tasks + t) & (bank.stripe_count() - 1);
+      const auto parity = static_cast<std::size_t>(bank.epoch() % 2);
+      auto pin = domains[l]->pin(src);
+      // Every task is inside its section before any checks its stripe,
+      // and none leaves before all have checked: a slot holding other
+      // than exactly 1 means two tasks share it or the task is elsewhere.
+      announced.fetch_add(1);
+      while (announced.load() < total) std::this_thread::yield();
+      if (bank.readers_at_stripe(stripe, parity) != 1) {
+        shared_or_missed.fetch_add(1);
+      }
+      checked.fetch_add(1);
+      while (checked.load() < total) std::this_thread::yield();
+    });
+  }
+  EXPECT_EQ(shared_or_missed.load(), 0u) << "tasks/locale=" << tasks;
+  for (const auto& d : domains) {
+    EXPECT_EQ(d->bank().readers_at(0) + d->bank().readers_at(1), 0u);
+  }
+}
+
+TEST(StripedEbrVirtualTime, SectionChargesDoNotDependOnTheRunningThread) {
+  // Each task owns its stripe, so its charges are those of a task alone
+  // on the cluster: the same for every task and in every run, whichever
+  // pool thread ran it and whoever touched a line first in real time.
+  constexpr std::uint64_t kOps = 64;
+  const std::uint32_t tasks = more_workers_than_the_host();
+  const std::uint64_t solo = section_vtimes(1, 1, kOps).at(0);
+  ASSERT_GT(solo, 0u);
+  for (int run = 0; run < 3; ++run) {
+    const std::vector<std::uint64_t> vtimes = section_vtimes(2, tasks, kOps);
+    for (std::size_t slot = 0; slot < vtimes.size(); ++slot) {
+      EXPECT_EQ(vtimes[slot], solo) << "run=" << run << " slot=" << slot;
+    }
+  }
+}
+
+TEST(StripedEbrVirtualTime, LocaleBankIsAtLeastItsWorkerPoolWide) {
+  const std::uint32_t workers = more_workers_than_the_host();
+  rt::Cluster cluster({.num_locales = 1, .workers_per_locale = workers});
+  StripedDomain striped(cluster.locale(0));
+  EXPECT_GE(striped.bank().stripe_count(), workers);
+  EXPECT_TRUE(is_pow2(striped.bank().stripe_count()));
+  EXPECT_EQ(striped.bank().stripe_count(),
+            reclaim::default_ebr_stripes(workers));
+  // The paper's layout stays one counter pair however wide the locale.
+  reclaim::EbrDomain<reclaim::LegacyEbr> legacy(cluster.locale(0));
+  EXPECT_EQ(legacy.bank().stripe_count(), 1u);
+  // A bank outside any locale keeps the host's width.
+  EXPECT_EQ(reclaim::Ebr{}.stripe_count(), reclaim::default_ebr_stripes());
+}
+
+TEST(StripedEbrVirtualTime, EnvKnobStillSetsTheLocaleBankWidth) {
+  const std::uint32_t workers = more_workers_than_the_host();
+  rt::Cluster cluster({.num_locales = 1, .workers_per_locale = workers});
+  ScopedEnv env("RCUA_EBR_STRIPES", "2");
+  StripedDomain domain(cluster.locale(0));
+  EXPECT_EQ(domain.bank().stripe_count(), 2u);
 }

@@ -7,6 +7,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "platform/spinlock.hpp"
 #include "platform/topology.hpp"
@@ -151,6 +154,48 @@ void BM_ShardedCollectionReadEbr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShardedCollectionReadEbr);
+
+// A 64Ki-element bulk_read of a QSBR array over 4 locales, issued from
+// locale 1 so 3/4 of the blocks are remote. The cached variant gives
+// each locale a BlockCache of 1 MiB, below the 6 MiB of remote blocks
+// the scans touch, so most spans miss and fill (the scan_qsbr regime);
+// the gap between the two is the cache layer's wall-clock cost.
+void bulk_read_scans(benchmark::State& state, std::size_t cache_bytes) {
+  constexpr std::size_t kElems = std::size_t{1} << 20;
+  constexpr std::size_t kScan = std::size_t{1} << 16;
+  rcua::rt::Cluster cluster({.num_locales = 4, .workers_per_locale = 1});
+  {
+    rcua::RCUArray<std::uint64_t, rcua::QsbrPolicy> arr(
+        cluster, kElems, {.cache_capacity_bytes = cache_bytes});
+    std::vector<std::uint64_t> vals(kElems);
+    for (std::size_t i = 0; i < kElems; ++i) vals[i] = i;
+    arr.bulk_write(0, vals);
+    std::vector<std::size_t> starts(256);
+    rcua::plat::Xoshiro256 rng(7);
+    for (auto& s : starts) s = rng.next_below(kElems - kScan + 1);
+    std::vector<std::uint64_t> out(kScan);
+    rcua::rt::LocaleScope here(cluster, 1);
+    std::size_t n = 0;
+    for (auto _ : state) {
+      arr.bulk_read(starts[n++ % starts.size()], kScan, out.data());
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kScan));
+  }
+  rcua::reclaim::Qsbr::global().flush_unsafe();
+}
+
+void BM_BulkReadUncached(benchmark::State& state) {
+  bulk_read_scans(state, 0);
+}
+BENCHMARK(BM_BulkReadUncached);
+
+void BM_BulkReadCached(benchmark::State& state) {
+  bulk_read_scans(state, std::size_t{1} << 20);
+}
+BENCHMARK(BM_BulkReadCached);
 
 void BM_UnsafeArrayIndex(benchmark::State& state) {
   rcua::rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -125,7 +126,8 @@ class RCUArray {
     /// 0 disables the cache entirely — every access takes exactly the
     /// uncached path, bit-identical charges and comm counters. The
     /// default defers to RCUA_CACHE_CAPACITY_BYTES (itself defaulting
-    /// to 0 = off). See DESIGN.md §11.
+    /// to 0 = off). Ignored unless T is trivially copyable (`cacheable`).
+    /// See DESIGN.md §11.
     std::size_t cache_capacity_bytes = kCacheCapacityFromEnv;
     /// Sentinel for home_locale: distribute blocks round-robin.
     static constexpr std::uint32_t kNoHomeLocale = UINT32_MAX;
@@ -142,13 +144,18 @@ class RCUArray {
   using SpinePin = typename Domain::template Pin<Snapshot<T>>;
   static constexpr bool uses_qsbr = std::is_same_v<Domain, reclaim::QsbrDomain>;
   static constexpr bool uses_interval = reclaim::kIsEraDomain<Domain>;
+  /// Only trivially copyable elements are cached: a cache entry is raw
+  /// bytes, filled and served by plain copies and freed without running
+  /// a destructor (DESIGN.md §11). Any other T always runs uncached.
+  static constexpr bool cacheable = std::is_trivially_copyable_v<T>;
 
   RCUArray(rt::Cluster& cluster, std::size_t initial_capacity = 0,
            Options options = {})
       : cluster_(cluster),
         block_size_(options.block_size),
         max_publish_attempts_(options.max_publish_attempts),
-        cache_capacity_(options.cache_capacity_bytes ==
+        cache_capacity_(!cacheable ? 0
+                        : options.cache_capacity_bytes ==
                                 Options::kCacheCapacityFromEnv
                             ? rt::BlockCache::capacity_from_env()
                             : options.cache_capacity_bytes),
@@ -221,16 +228,16 @@ class RCUArray {
   /// reads against resize_remove; the uncached path keeps the paper's
   /// assert-only contract.
   T read(std::size_t i) {
-    if (!cache_enabled()) {
-      // The load happens INSIDE the read-side section (unlike index(),
-      // whose returned reference deliberately escapes it): value ops
-      // must stay safe against rehome(), which — unlike resize — really
-      // does reclaim the replaced blocks once readers drain.
-      return with_slot(i, /*is_write=*/false, [](T& slot, Block<T>*) {
-        return plat::element_load(slot);
-      });
+    if constexpr (cacheable) {
+      if (cache_enabled()) return read_cached(i);
     }
-    return read_cached(i);
+    // The load happens INSIDE the read-side section (unlike index(),
+    // whose returned reference deliberately escapes it): value ops must
+    // stay safe against rehome(), which — unlike resize — really does
+    // reclaim the replaced blocks once readers drain.
+    return with_slot(i, /*is_write=*/false, [](T& slot, Block<T>*) {
+      return plat::element_load(slot);
+    });
   }
   void write(std::size_t i, T value) {
     // Store + generation bump both land INSIDE the section for the same
@@ -596,6 +603,12 @@ class RCUArray {
     bulk_visit(first, count, /*is_write=*/false, opts,
                [out, first](std::size_t base, T* data, std::size_t len) {
                  load_span(data, len, out + (base - first));
+               },
+               // Generic, so the memcpy is only instantiated for the
+               // cacheable T whose private copies reach it.
+               [out, first](std::size_t base, const auto* data,
+                            std::size_t len) {
+                 std::memcpy(out + (base - first), data, len * sizeof(T));
                });
   }
 
@@ -616,13 +629,14 @@ class RCUArray {
   /// otherwise.
   void bulk_write(std::size_t first, std::span<const T> values,
                   BulkOptions opts = {}) {
-    bulk_visit(first, values.size(), /*is_write=*/true, opts,
-               [values, first](std::size_t base, T* data, std::size_t len) {
-                 const T* src = values.data() + (base - first);
-                 for (std::size_t k = 0; k < len; ++k) {
-                   plat::element_store(data[k], src[k]);
-                 }
-               });
+    auto store = [values, first](std::size_t base, T* data, std::size_t len) {
+      const T* src = values.data() + (base - first);
+      for (std::size_t k = 0; k < len; ++k) {
+        plat::element_store(data[k], src[k]);
+      }
+    };
+    // Writes never go through the cache, so no span is private.
+    bulk_visit(first, values.size(), /*is_write=*/true, opts, store, store);
   }
 
   /// Runs `fn(base_index, T* data, len)` over the maximal contiguous
@@ -637,8 +651,7 @@ class RCUArray {
   template <typename F>
   void for_each_block(std::size_t first, std::size_t count, F&& fn,
                       BulkOptions opts = {}) {
-    bulk_visit(first, count, /*is_write=*/opts.mutate, opts,
-               std::forward<F>(fn));
+    bulk_visit(first, count, /*is_write=*/opts.mutate, opts, fn, fn);
   }
 
   /// Runs `fn(global_block_index, Block<T>&)` for every block, each on a
@@ -708,9 +721,10 @@ class RCUArray {
 
   // -- Block cache observability (rt::BlockCache; DESIGN.md §11) --------
 
-  /// True when the per-locale remote-block cache is active (capacity>0).
+  /// True when the per-locale remote-block cache is active (capacity>0);
+  /// constant false when T is not `cacheable`.
   [[nodiscard]] bool cache_enabled() const noexcept {
-    return cache_capacity_ > 0;
+    return cacheable && cache_capacity_ > 0;
   }
   [[nodiscard]] std::size_t cache_capacity_bytes() const noexcept {
     return cache_capacity_;
@@ -1036,8 +1050,9 @@ class RCUArray {
     }
   }
 
-  /// Element copies out of a shared block, element_load per element so
-  /// §III-C element races stay defined.
+  /// Element copies out of a live shared block, element_load per
+  /// element so §III-C element races stay defined. Private copies (cache
+  /// entries, completed fills) are copied plainly instead (bulk_read).
   static void load_span(const T* src, std::size_t n, T* dst) {
     for (std::size_t k = 0; k < n; ++k) dst[k] = plat::element_load(src[k]);
   }
@@ -1055,10 +1070,16 @@ class RCUArray {
   /// moves the drain past the section close; the sched harness proves
   /// that variant loses (tests/test_sched_bulk.cpp).
   ///
-  /// `span_fn(base_index, T* data, len)` must not re-enter this array.
-  template <typename SpanFn>
+  /// `span_fn(base_index, T* data, len)` runs on spans of live shared
+  /// blocks, which concurrent writers may touch. `private_fn` (same
+  /// signature) runs instead on spans served from a private, immutable
+  /// copy — a cache hit or a completed fill — which nothing writes any
+  /// more, so it may copy plainly; it is only reached for read visits of
+  /// a cacheable T. Neither may re-enter this array.
+  template <typename SpanFn, typename PrivateFn>
   void bulk_visit(std::size_t first, std::size_t count, bool is_write,
-                  const BulkOptions& opts, SpanFn&& span_fn) {
+                  const BulkOptions& opts, SpanFn&& span_fn,
+                  PrivateFn&& private_fn) {
     if (count == 0) return;
     const auto& m = sim::CostModel::get();
     PerLocale& p = priv();
@@ -1104,34 +1125,37 @@ class RCUArray {
         const std::uint64_t bid = b->id();
         const std::uint32_t owner = b->owner();
         const std::size_t base = i;
-        if (use_cache && owner != here) {
-          sim::charge(m.cache_lookup_ns);
-          const std::uint64_t gen = b->generation();
-          if (auto cached =
-                  p.cache->lookup(array_id(), bidx, pinned_version, gen)) {
-            // Hit: serve the span inline from the node-local copy. The
-            // const_cast is sound because is_write is false — span_fn
-            // only reads through the pointer (bulk_read/for_each_block
-            // contract).
-            sim::charge(m.cache_copy_ns_per_elem *
-                        static_cast<double>(len));
-            span_fn(base,
-                    const_cast<T*>(reinterpret_cast<const T*>(
-                        cached.get())) + off,
-                    len);
-          } else {
-            if (!fill_async) {
-              fill_async.emplace(cluster_.comm(), here,
-                                 rt::AsyncComm::Options{.window = opts.window});
+        if constexpr (cacheable) {
+          if (use_cache && owner != here) {
+            sim::charge(m.cache_lookup_ns);
+            const std::uint64_t gen = b->generation();
+            if (auto cached =
+                    p.cache->lookup(array_id(), bidx, pinned_version, gen)) {
+              // Hit: serve the span inline from the node-local copy. The
+              // const_cast is sound because is_write is false — the
+              // callback only reads through the pointer
+              // (bulk_read/for_each_block contract).
+              sim::charge(m.cache_copy_ns_per_elem *
+                          static_cast<double>(len));
+              private_fn(base,
+                         const_cast<T*>(reinterpret_cast<const T*>(
+                             cached.get())) + off,
+                         len);
+            } else {
+              if (!fill_async) {
+                fill_async.emplace(
+                    cluster_.comm(), here,
+                    rt::AsyncComm::Options{.window = opts.window});
+              }
+              BlockFill f = issue_fill(*fill_async, p, *b, bidx);
+              f.base = base;
+              f.off = off;
+              f.len = len;
+              fills.push_back(std::move(f));
             }
-            BlockFill f = issue_fill(*fill_async, p, *b, bidx);
-            f.base = base;
-            f.off = off;
-            f.len = len;
-            fills.push_back(std::move(f));
+            i += len;
+            continue;
           }
-          i += len;
-          continue;
         }
         agg.push(owner, len, [=, &span_fn]() {
           sim::touch_block(bid, owner != here, is_write);
@@ -1162,12 +1186,17 @@ class RCUArray {
       // ever sees the completed copy — a fill that unwinds (exception,
       // cancelled session) never inserts, so no partial-block entry can
       // exist.
-      for (BlockFill& f : fills) {
-        const std::uint64_t fill_gen = f.done.get();
-        p.cache->insert(array_id(), f.bidx, pinned_version, fill_gen, f.buf,
-                        block_size_ * sizeof(T));
-        sim::charge(m.cache_copy_ns_per_elem * static_cast<double>(f.len));
-        span_fn(f.base, reinterpret_cast<T*>(f.buf.get()) + f.off, f.len);
+      if constexpr (cacheable) {
+        for (BlockFill& f : fills) {
+          const std::uint64_t fill_gen = f.done.get();
+          p.cache->insert(array_id(), f.bidx, pinned_version, fill_gen,
+                          f.buf, block_size_ * sizeof(T));
+          sim::charge(m.cache_copy_ns_per_elem * static_cast<double>(f.len));
+          // The completed copy is private: the fill wrote it and nothing
+          // writes it again.
+          private_fn(f.base, reinterpret_cast<T*>(f.buf.get()) + f.off,
+                     f.len);
+        }
       }
     };
 
@@ -1248,14 +1277,18 @@ class RCUArray {
   /// traffic for every later hit. The completion closure runs on the
   /// destination's timeline, inside the caller's pinned section, and
   /// copies with per-element relaxed loads (§III-C element races stay
-  /// defined).
+  /// defined). The buffer and its control block are one allocation,
+  /// with the elements left uninitialized (the copy overwrites them).
   BlockFill issue_fill(rt::AsyncComm& async, PerLocale& p, Block<T>& b,
                        std::size_t bidx) {
+    static_assert(cacheable);
     BlockFill f;
     f.bidx = bidx;
     const std::size_t n = block_size_;
-    f.buf = std::shared_ptr<std::byte[]>(new std::byte[n * sizeof(T)]);
-    T* dst = reinterpret_cast<T*>(f.buf.get());
+    std::shared_ptr<T[]> copy = std::make_shared_for_overwrite<T[]>(n);
+    T* dst = copy.get();
+    f.buf = std::shared_ptr<std::byte[]>(std::move(copy),
+                                         reinterpret_cast<std::byte*>(dst));
     Block<T>* bp = &b;
     p.cache->note_fill();
     f.done = async.execute(

@@ -22,9 +22,14 @@ namespace rcua::plat {
 /// larger element types keep plain accesses and the single-writer
 /// discipline those imply (see `relaxed_capable_v`).
 template <typename T>
-inline constexpr bool relaxed_capable_v =
-    std::is_trivially_copyable_v<T> &&
-    std::atomic_ref<T>::is_always_lock_free;
+inline constexpr bool relaxed_capable_v = [] {
+  // atomic_ref<T> itself must not be instantiated for a T it rejects.
+  if constexpr (std::is_trivially_copyable_v<T>) {
+    return std::atomic_ref<T>::is_always_lock_free;
+  } else {
+    return false;
+  }
+}();
 
 template <typename T>
 [[nodiscard]] inline T relaxed_load(const T& slot) noexcept {

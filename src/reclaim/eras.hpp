@@ -568,6 +568,13 @@ class BasicEraReclaimer {
     if (test_slot_override >= 0) {
       return static_cast<std::size_t>(test_slot_override) & slot_mask_;
     }
+    // In virtual time each simulated task stands for its own core: pick
+    // by logical task so the slot-line charges do not depend on which
+    // pool thread runs it (DESIGN.md §5).
+    if (const sim::TaskClock* c = sim::current();
+        c != nullptr && c->task_slot != sim::TaskClock::kNoSlot) {
+      return c->task_slot & slot_mask_;
+    }
     return plat::stripe_index(nslots_);
   }
 

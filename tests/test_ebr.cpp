@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -176,10 +177,15 @@ TEST(EbrStress, NoUseAfterFreeUnderConcurrentWrites) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> violations{0};
   std::atomic<std::uint64_t> reads{0};
+  // The writer starts once every reader has finished a read section, so
+  // its grace periods always race real readers, however loaded the host.
+  constexpr int kReaders = 4;
+  std::latch every_reader_read(kReaders);
 
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
+      bool counted = false;
       while (!stop.load(std::memory_order_relaxed)) {
         ebr.read([&] {
           Canary* c = snapshot.load(std::memory_order_acquire);
@@ -188,9 +194,14 @@ TEST(EbrStress, NoUseAfterFreeUnderConcurrentWrites) {
           }
           reads.fetch_add(1, std::memory_order_relaxed);
         });
+        if (!counted) {
+          every_reader_read.count_down();
+          counted = true;
+        }
       }
     });
   }
+  every_reader_read.wait();
 
   // Writer: copy-update-publish-drain-delete, 300 times.
   for (int i = 0; i < 300; ++i) {

@@ -3,10 +3,12 @@
 // summation, Lemma 2 across several bank widths, the stats aggregation
 // across stripes when compiled in, and the virtual-time rules: a
 // simulated task announces on the stripe of its logical slot, and a
-// locale's bank is at least as wide as its worker pool.
+// locale's bank is at least as wide as its worker pool. The IBR and HE
+// reservation slots follow the same logical-slot rule.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -17,6 +19,7 @@
 #include "platform/topology.hpp"
 #include "reclaim/domain.hpp"
 #include "reclaim/ebr.hpp"
+#include "reclaim/eras.hpp"
 #include "runtime/cluster.hpp"
 #include "sim/task_clock.hpp"
 
@@ -46,12 +49,12 @@ std::uint32_t more_workers_than_the_host() {
   return rcua::plat::hardware_threads() + 2;
 }
 
-/// One striped domain per locale, as RCUArray keeps them.
-std::vector<std::unique_ptr<StripedDomain>> locale_domains(
-    rt::Cluster& cluster) {
-  std::vector<std::unique_ptr<StripedDomain>> domains;
+/// One domain per locale, as RCUArray keeps them.
+template <typename Domain = StripedDomain>
+std::vector<std::unique_ptr<Domain>> locale_domains(rt::Cluster& cluster) {
+  std::vector<std::unique_ptr<Domain>> domains;
   for (std::uint32_t l = 0; l < cluster.num_locales(); ++l) {
-    domains.push_back(std::make_unique<StripedDomain>(cluster.locale(l)));
+    domains.push_back(std::make_unique<Domain>(cluster.locale(l)));
   }
   return domains;
 }
@@ -59,11 +62,12 @@ std::vector<std::unique_ptr<StripedDomain>> locale_domains(
 /// Each task's virtual time after `ops` empty read sections on its
 /// locale's domain, run as a simulated coforall_tasks with one task per
 /// worker; indexed by logical slot.
+template <typename Domain = StripedDomain>
 std::vector<std::uint64_t> section_vtimes(std::uint32_t locales,
                                           std::uint32_t tasks,
                                           std::uint64_t ops) {
   rt::Cluster cluster({.num_locales = locales, .workers_per_locale = tasks});
-  const auto domains = locale_domains(cluster);
+  const auto domains = locale_domains<Domain>(cluster);
   int payload = 0;
   std::atomic<int*> src{&payload};
   std::vector<std::uint64_t> vtimes(static_cast<std::size_t>(locales) * tasks);
@@ -336,6 +340,37 @@ TEST(StripedEbrVirtualTime, SectionChargesDoNotDependOnTheRunningThread) {
       EXPECT_EQ(vtimes[slot], solo) << "run=" << run << " slot=" << slot;
     }
   }
+}
+
+// The era reclaimers claim a reservation slot per section and charge its
+// line the same way, so they pick the slot by logical task too. Their
+// bank keeps its default width, so at most that many tasks run per
+// locale and each owns a slot.
+template <typename Domain>
+void expect_era_section_charges_independent_of_thread() {
+  constexpr std::uint64_t kOps = 64;
+  const auto tasks = static_cast<std::uint32_t>(
+      std::min<std::size_t>(more_workers_than_the_host(),
+                            reclaim::default_era_slots()));
+  const std::uint64_t solo = section_vtimes<Domain>(1, 1, kOps).at(0);
+  ASSERT_GT(solo, 0u);
+  for (int run = 0; run < 3; ++run) {
+    const std::vector<std::uint64_t> vtimes =
+        section_vtimes<Domain>(2, tasks, kOps);
+    for (std::size_t slot = 0; slot < vtimes.size(); ++slot) {
+      EXPECT_EQ(vtimes[slot], solo) << "run=" << run << " slot=" << slot;
+    }
+  }
+}
+
+TEST(StripedEbrVirtualTime, IbrSectionChargesDoNotDependOnTheRunningThread) {
+  expect_era_section_charges_independent_of_thread<
+      reclaim::EraDomain<reclaim::Ibr>>();
+}
+
+TEST(StripedEbrVirtualTime, HeSectionChargesDoNotDependOnTheRunningThread) {
+  expect_era_section_charges_independent_of_thread<
+      reclaim::EraDomain<reclaim::HazardEras>>();
 }
 
 TEST(StripedEbrVirtualTime, LocaleBankIsAtLeastItsWorkerPoolWide) {
